@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .ensemble import Ensemble, path_weights
-from .semiring import MaxPlusMatrix, Scalar, ceil_int, mp_multiply
+from .semiring import MaxPlusMatrix, Scalar, ceil_int, finite_rows, row_product
 from .trellis import Word, first_passage_data
 
 
@@ -91,13 +91,9 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
     pw = path_weights(ensemble)
     n = ensemble.size
     slack = n - len(ensemble.critical_nodes)
-    pairs = [
-        (i, j)
-        for i in range(n)
-        for j in range(n)
-        if pw.gamma_avoid.data[i][j] is not None
-    ]
-    if not pairs:
+    avoid_rows = finite_rows(pw.gamma_avoid)
+    finite_pairs = sum(len(row) for row in avoid_rows)
+    if not finite_pairs:
         return WeakBoundResult(
             k=1,
             first_k=1,
@@ -109,18 +105,22 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
             diagnostics=("every pair of nodes must pass through the critical set",),
         )
     thresholds: list[Optional[float]] = []
-    u = ensemble.a_inf
+    # u holds the rows of a_inf^k; each step is the row-sparse product that
+    # mp_multiply(u, a_inf) computes, without building a matrix per length.
+    inf_rows = finite_rows(ensemble.a_inf)
+    u = ensemble.a_inf.data
     for _ in range(k_max):
         worst = None
-        for i, j in pairs:
-            uk = u.data[i][j]
-            if uk is None:
-                continue
-            value = _ratio(uk - pw.gamma_avoid.data[i][j], lam) + slack
-            if worst is None or value > worst:
-                worst = value
+        for urow, avoid_row in zip(u, avoid_rows):
+            for j, g in avoid_row:
+                uk = urow[j]
+                if uk is None:
+                    continue
+                value = float(slack) if lam is None else (uk - g) / lam + slack
+                if worst is None or value > worst:
+                    worst = value
         thresholds.append(worst)
-        u = mp_multiply(u, ensemble.a_inf)
+        u = [row_product(row, inf_rows, n) for row in u]
     ok = [t is None or k > t for k, t in enumerate(thresholds, start=1)]
     first_k = next((k for k, good in enumerate(ok, start=1) if good), None)
     if not ok[-1]:
@@ -131,7 +131,7 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
             threshold_at_k=None,
             lambda_star=lam,
             slack=slack,
-            finite_pairs=len(pairs),
+            finite_pairs=finite_pairs,
             diagnostics=(f"the condition still fails at length {k_max}; raise k_max",),
         )
     stable = k_max
@@ -144,7 +144,7 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
         threshold_at_k=thresholds[stable - 1],
         lambda_star=lam,
         slack=slack,
-        finite_pairs=len(pairs),
+        finite_pairs=finite_pairs,
         diagnostics=(),
     )
 

@@ -263,7 +263,21 @@ def check_assumptions(ensemble: Ensemble) -> AssumptionReport:
 
 
 def path_weights(ensemble: Ensemble) -> PathWeights:
-    """All optimal path weight tables used by the length thresholds."""
+    """All optimal path weight tables used by the length thresholds.
+
+    Computed on the first call and kept on the ensemble instance, in the
+    style of ``functools.cached_property`` (the frozen dataclass's
+    ``__setattr__`` is bypassed through ``__dict__``).  The memo is not a
+    field, so equality and ``repr`` ignore it, and it lives and dies with
+    its ensemble.
+    """
+    cached = ensemble.__dict__.get("_path_weights")
+    if cached is None:
+        cached = ensemble.__dict__["_path_weights"] = _compute_path_weights(ensemble)
+    return cached
+
+
+def _compute_path_weights(ensemble: Ensemble) -> PathWeights:
     crit_nodes = sorted(ensemble.critical_nodes)
     star_sup = kleene_star(ensemble.a_sup)
     star_inf = kleene_star(ensemble.a_inf)

@@ -7,13 +7,26 @@ arithmetic can ever produce a NaN: ``eps (+) x = x`` and ``eps (*) x = eps``
 hold by construction for every ``x``.
 
 Matrices are immutable, dense, and row-major.  All entries are either
-finite floats or ``None``.  Integer-valued inputs stay exact because float
-addition of integers below 2**53 is exact.
+finite floats or ``None``; ``from_rows`` rejects anything else.
+Integer-valued inputs stay exact because float addition of integers below
+2**53 is exact.
+
+The kernels work on row-adjacency lists of the finite entries.  The
+product walks them in i-k-j order, and the Kleene star runs a per-source
+frontier relaxation on them instead of summing powers.  Neither reorders a
+float sum: the product visits each entry's candidates in ascending k and
+keeps the first maximum, and every star value is a walk summed left to
+right, as in the powers.  Float addition is monotone, so the maximum over
+the same sums is the same float, and both kernels return bit for bit what
+the dense product and the truncated power series return, also on
+non-integer data.  A closure that splits walks at an intermediate node
+(Floyd-Warshall) adds sub-walks in another order and would not.
 """
 
 from __future__ import annotations
 
 import math
+from math import isfinite
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -54,7 +67,17 @@ def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
 def _coerce(value) -> Scalar:
     if value is None:
         return None
-    return float(value)
+    kind = type(value)  # exact: bool cannot be subclassed, and floats skip the checks below
+    if kind is not float:
+        if kind is bool or not isinstance(value, (int, float)):
+            raise ShapeError(f"matrix entries must be numbers or null (eps), got {value!r}")
+        try:
+            value = float(value)
+        except OverflowError:
+            value = math.inf
+    if not isfinite(value):
+        raise ShapeError(f"matrix entries must be finite, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -75,7 +98,7 @@ class MaxPlusMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "MaxPlusMatrix":
-        grid = tuple(tuple(_coerce(v) for v in row) for row in rows)
+        grid = tuple(tuple(map(_coerce, row)) for row in rows)
         if not grid:
             raise ShapeError("matrix needs at least one row")
         return cls(len(grid), len(grid[0]), grid)
@@ -177,30 +200,42 @@ class MaxPlusMatrix:
         return mp_multiply(self, other)
 
 
+def finite_rows(m: MaxPlusMatrix) -> list[list[tuple[int, float]]]:
+    """Row-adjacency lists: the finite entries of each row as (column, value)."""
+    return [[(j, v) for j, v in enumerate(row) if v is not None] for row in m.data]
+
+
+def row_product(
+    row: Sequence[Scalar], b_rows: Sequence[Sequence[tuple[int, float]]], cols: int
+) -> list[Scalar]:
+    """One row of a tropical product, ``row (x) b``, with ``b`` given as its ``finite_rows``.
+
+    Each output entry sees its candidates ``row[k] + b[k][j]`` in ascending
+    k and keeps the first maximum, as the dense i-j-k loop does.
+    """
+    out: list[Scalar] = [None] * cols
+    for k, x in enumerate(row):
+        if x is None:
+            continue
+        for j, y in b_rows[k]:
+            s = x + y
+            best = out[j]
+            if best is None or s > best:
+                out[j] = s
+    return out
+
+
 def mp_multiply(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
-    """Tropical matrix product: out[i][j] = max_k (a[i][k] + b[k][j])."""
+    """Tropical matrix product: out[i][j] = max_k (a[i][k] + b[k][j]).
+
+    Row-sparse in i-k-j order: eps entries of ``a`` are skipped and only
+    the finite entries of each row of ``b`` are walked.
+    """
     if a.cols != b.rows:
         raise ShapeError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    bdata = b.data
-    out = []
-    for i in range(a.rows):
-        arow = a.data[i]
-        orow = []
-        for j in range(b.cols):
-            best = None
-            for k in range(a.cols):
-                x = arow[k]
-                if x is None:
-                    continue
-                y = bdata[k][j]
-                if y is None:
-                    continue
-                s = x + y
-                if best is None or s > best:
-                    best = s
-            orow.append(best)
-        out.append(tuple(orow))
-    return MaxPlusMatrix(a.rows, b.cols, tuple(out))
+    b_rows = finite_rows(b)
+    out = tuple(tuple(row_product(row, b_rows, b.cols)) for row in a.data)
+    return MaxPlusMatrix(a.rows, b.cols, out)
 
 
 def mp_power(a: MaxPlusMatrix, k: int) -> MaxPlusMatrix:
@@ -271,16 +306,41 @@ def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
 
     Requires a nonpositive maximum cycle mean; then optimal walks shed their
     cycles, so walks of length at most n-1 realise every star entry.
+
+    Each row is a frontier relaxation from its source on the row-adjacency
+    lists of ``a``: round r extends, by one edge, only the nodes whose value
+    improved in round r-1, using their values from the end of that round.
+    After round r a node therefore holds the best walk of length at most r,
+    so the n-1 round cap (with an early stop once nothing improves) keeps
+    the truncation of the power series.  Every candidate is ``best[x] +
+    a[x][j]``, so each value is a walk summed left to right, just as the
+    powers sum it; float addition is monotone, so the maximum over these
+    sums is the same float as the power series gives, on any input.
     """
     if not a.is_square:
         raise ShapeError("star needs a square matrix")
     _check_convergent(a)
-    result = MaxPlusMatrix.identity(a.rows)
-    power = result
-    for _ in range(a.rows - 1):
-        power = mp_multiply(power, a)
-        result = entrywise_sup([result, power])
-    return result
+    n = a.rows
+    adjacency = finite_rows(a)
+    out = []
+    for source in range(n):
+        best: list[Scalar] = [None] * n
+        best[source] = 0.0
+        frontier = [(source, 0.0)]
+        for _ in range(n - 1):
+            improved: dict[int, None] = {}
+            for x, bx in frontier:
+                for j, w in adjacency[x]:
+                    s = bx + w
+                    cur = best[j]
+                    if cur is None or s > cur:
+                        best[j] = s
+                        improved[j] = None
+            if not improved:
+                break
+            frontier = [(j, best[j]) for j in improved]
+        out.append(tuple(best))
+    return MaxPlusMatrix(n, n, tuple(out))
 
 
 def metric_matrix(a: MaxPlusMatrix) -> MaxPlusMatrix:

@@ -73,6 +73,55 @@ def dp_walk_matrix(grids: Sequence[Grid]) -> list[list[Optional[float]]]:
     return out
 
 
+# -- dense referees for the sparse kernels ---------------------------------
+
+
+def dense_multiply(a: MaxPlusMatrix, b: MaxPlusMatrix) -> MaxPlusMatrix:
+    """Tropical product by the dense i-j-k loop, first maximum in k kept."""
+    bdata = b.data
+    out = []
+    for i in range(a.rows):
+        arow = a.data[i]
+        orow = []
+        for j in range(b.cols):
+            best = None
+            for k in range(a.cols):
+                x = arow[k]
+                if x is None:
+                    continue
+                y = bdata[k][j]
+                if y is None:
+                    continue
+                s = x + y
+                if best is None or s > best:
+                    best = s
+            orow.append(best)
+        out.append(tuple(orow))
+    return MaxPlusMatrix(a.rows, b.cols, tuple(out))
+
+
+def power_series_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
+    """I (+) a (+) ... (+) a^(n-1) by repeated dense products.
+
+    On ties the earlier (shorter) term is kept.  No convergence check: the
+    caller passes matrices whose maximum cycle mean is nonpositive.
+    """
+    n = a.rows
+    result = MaxPlusMatrix.identity(n)
+    power = result
+    for _ in range(n - 1):
+        power = dense_multiply(power, a)
+        result = MaxPlusMatrix(
+            n,
+            n,
+            tuple(
+                tuple(p if r is None or (p is not None and p > r) else r for r, p in zip(rrow, prow))
+                for rrow, prow in zip(result.data, power.data)
+            ),
+        )
+    return result
+
+
 # -- cycles ----------------------------------------------------------------
 
 

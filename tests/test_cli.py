@@ -60,6 +60,20 @@ def test_analyze_rejects_wrong_schema(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "entry",
+    ["-Infinity", "NaN", "1e400", "1" + "0" * 400, '"1"', "true"],
+    ids=["-Infinity", "NaN", "1e400", "integer-10**400", "string", "true"],
+)
+def test_analyze_rejects_non_finite_and_non_numeric_entries(capsys, tmp_path, entry):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"generators": [{"rows": 1, "cols": 2, "entries": [[0, %s]]}]}' % entry)
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert "matrix entries must be" in err
+
+
 def test_bounds_output(capsys, demo_file):
     code, out, _ = run(capsys, "bounds", demo_file)
     assert code == 0

@@ -214,3 +214,16 @@ def test_u_k_and_product_share_finiteness_pattern():
         uk = u_k(ens, k)
         assert prod.support() == uk.support()
         assert uk.le(prod)
+
+
+def test_path_weights_memo_is_per_instance():
+    gens = build_family("P1_three").generators
+    ens, twin = build_ensemble(list(gens)), build_ensemble(list(gens))
+    first = path_weights(ens)
+    assert path_weights(ens) is first
+    # The memo is not a field: a build with it still equals one without.
+    assert ens == twin
+    # Each instance computes its own result; nothing is shared.
+    other = path_weights(twin)
+    assert other is not first
+    assert other == first

@@ -20,7 +20,14 @@ from mpcsr.semiring import (
     scalar_mul,
 )
 
-from oracles import best_walk_matrix, dp_walk_matrix, nodes_on_max_mean_cycles, random_matrix
+from oracles import (
+    best_walk_matrix,
+    dense_multiply,
+    dp_walk_matrix,
+    nodes_on_max_mean_cycles,
+    power_series_star,
+    random_matrix,
+)
 
 E = None
 
@@ -208,3 +215,42 @@ def test_multiplication_is_monotone(a, b):
 @given(square_matrices(3), st.integers(0, 4), st.integers(0, 4))
 def test_power_addition_law(a, i, j):
     assert matrices_equal(mp_power(a, i + j), mp_multiply(mp_power(a, i), mp_power(a, j)))
+
+
+# -- sparse kernels against the dense referees, on non-integer weights -------
+
+weight = st.one_of(st.none(), st.integers(min_value=-20, max_value=20))
+scale = st.sampled_from((0.1, 0.3, 1 / 3))
+
+
+def weight_grids(rows, cols):
+    return st.lists(st.lists(weight, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def _scaled(grid, factor):
+    return MaxPlusMatrix.from_rows([[None if v is None else v * factor for v in row] for row in grid])
+
+
+@st.composite
+def cycle_mean_zero_matrices(draw):
+    """Non-integer square matrices shifted to maximum cycle mean zero, n <= 9."""
+    from mpcsr.digraph import WeightedDigraph, max_cycle_mean
+
+    n = draw(st.integers(1, 9))
+    m = _scaled(draw(weight_grids(n, n)), draw(scale))
+    lam = max_cycle_mean(WeightedDigraph.from_matrix(m))
+    return m if lam is None else m.shift(-lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cycle_mean_zero_matrices())
+def test_kleene_star_is_bit_identical_to_power_series(a):
+    assert kleene_star(a).data == power_series_star(a).data
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.data())
+def test_sparse_multiply_is_bit_identical_to_dense(rows, inner, cols, data):
+    a = _scaled(data.draw(weight_grids(rows, inner)), data.draw(scale))
+    b = _scaled(data.draw(weight_grids(inner, cols)), data.draw(scale))
+    assert mp_multiply(a, b).data == dense_multiply(a, b).data
