@@ -67,10 +67,6 @@ def render_json(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialise {type(obj).__name__}")
 
 
-def _matrix_json(m: MaxPlusMatrix) -> dict:
-    return m.to_json()
-
-
 def _load_ensemble(path: str) -> Ensemble:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -105,9 +101,9 @@ def _cmd_analyze(args) -> int:
     payload = {
         "size": ens.size,
         "generator_count": ens.generator_count(),
-        "a_sup": _matrix_json(ens.a_sup),
-        "a_inf": _matrix_json(ens.a_inf),
-        "b_sup": _matrix_json(ens.b_sup),
+        "a_sup": ens.a_sup.to_json(),
+        "a_inf": ens.a_inf.to_json(),
+        "b_sup": ens.b_sup.to_json(),
         "lambda_star": ens.lambda_star,
         "visualisation_vector": list(ens.visualisation_vector),
         "critical": ens.critical.to_json(),
@@ -148,8 +144,8 @@ def _cmd_bounds(args) -> int:
             "bound": ambient.bound,
             "k": ambient.ambient_k,
             "schwarz_term": ambient.schwarz_term,
-            "branch_connect": _matrix_json(ambient.branch_connect_matrix()),
-            "branch_avoid": _matrix_json(ambient.branch_avoid_matrix()),
+            "branch_connect": ambient.branch_connect_matrix().to_json(),
+            "branch_avoid": ambient.branch_avoid_matrix().to_json(),
         },
     }
     _emit(args, payload)
@@ -172,7 +168,7 @@ def _cmd_product(args) -> int:
     payload = {
         "word": list(word.letters),
         "k": len(word),
-        "product": _matrix_json(tw.product),
+        "product": tw.product.to_json(),
         "w_star": list(tw.w_star),
         "v_star": list(tw.v_star),
     }
@@ -191,8 +187,8 @@ def _cmd_csr_check(args) -> int:
         "gamma": check.terms.gamma,
         "t_exponent": check.terms.t_exponent,
         "v_exponent": check.terms.v_exponent,
-        "product": _matrix_json(check.product),
-        "csr": _matrix_json(check.csr),
+        "product": check.product.to_json(),
+        "csr": check.csr.to_json(),
         "equal": check.equal,
         "witness": None
         if check.witness is None
@@ -207,11 +203,11 @@ def _cmd_csr_check(args) -> int:
     _emit(args, payload)
     if args.emit_factors:
         factor_payload = {
-            "c_prime": _matrix_json(factors.c_prime),
-            "s_power": _matrix_json(
-                mp_power(check.terms.s_global, check.terms.k % check.terms.gamma)
-            ),
-            "r_prime": _matrix_json(factors.r_prime),
+            "c_prime": factors.c_prime.to_json(),
+            "s_power": mp_power(
+                check.terms.s_global, check.terms.k % check.terms.gamma
+            ).to_json(),
+            "r_prime": factors.r_prime.to_json(),
             "rank_bound": factors.rank_bound,
             "representatives": [list(r) for r in factors.representatives],
         }
@@ -248,8 +244,8 @@ def _cmd_counterexample(args) -> int:
                     for (r, c, pv, cv, epv, ecv) in check.witness_details
                 ],
                 "display_ok": check.display_ok,
-                "product": _matrix_json(result.product),
-                "csr": _matrix_json(result.csr),
+                "product": result.product.to_json(),
+                "csr": result.csr.to_json(),
             }
         )
     payload = {"family": family.family_id, "t": args.t, "classes": classes, "all_ok": report.all_ok}

@@ -33,10 +33,13 @@ E = None
 
 @dataclass(frozen=True)
 class Witness:
+    """Pinned product and CSR values at one entry, for every t >= t_min."""
+
     row: int
     col: int
     product_value: float
     csr_value: float
+    t_min: int = 0
 
 
 @dataclass(frozen=True)
@@ -160,7 +163,11 @@ def _p1_six() -> Family:
                 modulus=2,
                 offset=1,
                 t_min=1,
-                witnesses=(Witness(1, 4, -301.0, -202.0), Witness(3, 4, -401.0, -302.0)),
+                # No length-4 walk joins 3 to 4, so (3, 4) is eps at t = 1.
+                witnesses=(
+                    Witness(1, 4, -301.0, -202.0),
+                    Witness(3, 4, -401.0, -302.0, t_min=2),
+                ),
                 display=(v, csr_v),
             ),
         ),
@@ -407,9 +414,10 @@ def verify_family(family: Family, t_values: Sequence[int]) -> FamilyReport:
     """Check, per class and per t, the designated non-CSR witnesses.
 
     Each admissible (class, t) builds the word, compares the product with
-    its CSR form (which must differ), and pins the witness entries to their
-    expected closed-form values.  Where the class carries expected matrices
-    for the display value of t, those are compared entrywise as well.
+    its CSR form (which must differ), and pins the witness entries that
+    apply at t to their expected closed-form values.  Where the class
+    carries expected matrices for the display value of t, those are
+    compared entrywise as well.
     """
     ensemble = family.ensemble()
     checks = []
@@ -422,6 +430,8 @@ def verify_family(family: Family, t_values: Sequence[int]) -> FamilyReport:
             details = []
             good = True
             for wit in cls.witnesses:
+                if t < wit.t_min:
+                    continue
                 got_p = result.product.data[wit.row][wit.col]
                 got_c = result.csr.data[wit.row][wit.col]
                 details.append((wit.row, wit.col, got_p, got_c, wit.product_value, wit.csr_value))

@@ -1,13 +1,16 @@
 """CSR terms of word products and the rank-compressed factorisation.
 
 The structure matrix S carries weight 0 on every critical edge and eps
-elsewhere; its powers are ultimately periodic with period equal to the
-critical cyclicity.  For a product of length k the boundary factors are
-C = product (*) S^e and R = S^e (*) product with the exponent
-e = (t+1)*gamma - (k mod gamma) chosen so that t*gamma reaches the
-ultimate-periodicity threshold of S.  The same construction runs once per
-critical component with the component's own structure matrix; both routes
-must agree and are asserted against each other.
+elsewhere.  For a product G of length k the CSR terms are C = G (*) S^v and
+R = S^v (*) G, with v = (t+1)*gamma - (k mod gamma) and t*gamma past the
+transient of S.  S is block-diagonal over the critical components, so that
+transient is the largest component transient, and past it S^v is the
+cyclic-class pattern: (S^v)_cd = 0 exactly when c and d lie in one
+component nu and class(d) - class(c) = v modulo gamma_nu.  Column d of C is
+therefore the maximum of G's columns over the class class(d) - v, and row c
+of R the maximum of G's rows over the class class(c) + v.  C, R, the CSR
+product and its rank-compressed factors all follow from these class maxima
+by index shifts; no power of S is formed.
 """
 
 from __future__ import annotations
@@ -18,21 +21,17 @@ from typing import Optional, Sequence
 from .bounds import wielandt
 from .digraph import CriticalComponent, CriticalStructure
 from .ensemble import Ensemble
-from .semiring import (
-    MaxPlusMatrix,
-    Scalar,
-    entrywise_sup,
-    first_difference,
-    matrices_equal,
-    mp_multiply,
-    mp_power,
-)
+from .semiring import MaxPlusMatrix, Scalar, first_difference, matrices_equal, mp_multiply
 from .trellis import Word, gamma_product
+
+
+def _eps_grid(n: int) -> list[list[Scalar]]:
+    return [[None] * n for _ in range(n)]
 
 
 def structure_matrix(n: int, edges) -> MaxPlusMatrix:
     """n-by-n matrix with 0 on the given edges and eps everywhere else."""
-    grid = [[None] * n for _ in range(n)]
+    grid = _eps_grid(n)
     for u, v in edges:
         grid[u][v] = 0.0
     return MaxPlusMatrix.from_rows(grid)
@@ -61,6 +60,39 @@ def periodicity_threshold(s: MaxPlusMatrix, gamma: int) -> int:
 
 
 @dataclass(frozen=True)
+class ClassMaxima:
+    """Maxima of a product over the cyclic classes of one critical component.
+
+    ``columns[l][i]`` is the largest entry of row i over the columns of
+    class l; ``rows[l][j]`` is the largest entry of column j over the rows
+    of class l.
+    """
+
+    component: CriticalComponent
+    columns: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[tuple[Scalar, ...], ...]
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        """The smallest node of every class, in class order."""
+        return tuple(min(members) for members in self.component.classes())
+
+
+def _max(values) -> Scalar:
+    return max((x for x in values if x is not None), default=None)
+
+
+def _class_maxima(product: MaxPlusMatrix, comp: CriticalComponent) -> ClassMaxima:
+    data = product.data
+    classes = comp.classes()
+    return ClassMaxima(
+        component=comp,
+        columns=tuple(tuple(_max(row[c] for c in members) for row in data) for members in classes),
+        rows=tuple(tuple(map(_max, zip(*(data[d] for d in members)))) for members in classes),
+    )
+
+
+@dataclass(frozen=True)
 class CsrTerms:
     """All ingredients of the CSR form of one word product."""
 
@@ -75,52 +107,38 @@ class CsrTerms:
     t_exponent: int
     v_exponent: int
     s_global: MaxPlusMatrix
-    s_components: tuple[MaxPlusMatrix, ...]
     c_global: MaxPlusMatrix
     r_global: MaxPlusMatrix
-    c_components: tuple[MaxPlusMatrix, ...]
-    r_components: tuple[MaxPlusMatrix, ...]
-
-    @property
-    def components(self) -> tuple[CriticalComponent, ...]:
-        return self.critical.components
+    class_maxima: tuple[ClassMaxima, ...]
 
 
 def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
-    """Build C, S and R (globally and per critical component) for a word."""
+    """Build C, S and R and the class maxima they come from for a word."""
     product = gamma_product(ensemble, word)
     crit = ensemble.critical
     n = ensemble.size
     k = len(word)
     gamma = crit.global_cyclicity
 
-    s_global = structure_matrix(n, sorted(crit.critical_edges))
-    threshold = periodicity_threshold(s_global, gamma)
+    thresholds_nu = tuple(
+        periodicity_threshold(structure_matrix(n, sorted(comp.edges)), comp.cyclicity)
+        for comp in crit.components
+    )
+    # S is block-diagonal over the components, so its transient is theirs.
+    threshold = max(thresholds_nu, default=1)
     t = max(1, -(-threshold // gamma))
     v = (t + 1) * gamma - (k % gamma)
-    s_power_v = mp_power(s_global, v)
-    c_global = mp_multiply(product, s_power_v)
-    r_global = mp_multiply(s_power_v, product)
 
-    s_components = []
-    thresholds_nu = []
-    gamma_nu = []
-    c_components = []
-    r_components = []
-    for comp in crit.components:
-        s_nu = structure_matrix(n, sorted(comp.edges))
-        t_nu_threshold = periodicity_threshold(s_nu, comp.cyclicity)
-        # One shared exponent works for every component: v is congruent to
-        # -k modulo each component cyclicity and sits beyond each threshold.
-        t_nu = (v + (k % comp.cyclicity)) // comp.cyclicity - 1
-        if (t_nu + 1) * comp.cyclicity - (k % comp.cyclicity) != v or t_nu * comp.cyclicity < t_nu_threshold:
-            raise AssertionError("component exponent derivation broke; this is a bug")
-        s_nu_v = mp_power(s_nu, v)
-        s_components.append(s_nu)
-        thresholds_nu.append(t_nu_threshold)
-        gamma_nu.append(comp.cyclicity)
-        c_components.append(mp_multiply(product, s_nu_v))
-        r_components.append(mp_multiply(s_nu_v, product))
+    maxima = tuple(_class_maxima(product, comp) for comp in crit.components)
+    c_grid = _eps_grid(n)
+    r_grid = _eps_grid(n)
+    for cm in maxima:
+        g = cm.component.cyclicity
+        for node, cls in cm.component.class_of.items():
+            # (S^v)_cd = 0 exactly when class(d) - class(c) = v modulo g.
+            for row, value in zip(c_grid, cm.columns[(cls - v) % g]):
+                row[node] = value
+            r_grid[node] = cm.rows[(cls + v) % g]
 
     return CsrTerms(
         word=word,
@@ -128,41 +146,38 @@ def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
         product=product,
         critical=crit,
         gamma=gamma,
-        gamma_nu=tuple(gamma_nu),
+        gamma_nu=tuple(comp.cyclicity for comp in crit.components),
         threshold=threshold,
-        thresholds_nu=tuple(thresholds_nu),
+        thresholds_nu=thresholds_nu,
         t_exponent=t,
         v_exponent=v,
-        s_global=s_global,
-        s_components=tuple(s_components),
-        c_global=c_global,
-        r_global=r_global,
-        c_components=tuple(c_components),
-        r_components=tuple(r_components),
+        s_global=structure_matrix(n, sorted(crit.critical_edges)),
+        c_global=MaxPlusMatrix.from_rows(c_grid),
+        r_global=MaxPlusMatrix.from_rows(r_grid),
+        class_maxima=maxima,
     )
+
+
+def _factors(terms: CsrTerms, maxima: Sequence[ClassMaxima]) -> tuple[MaxPlusMatrix, MaxPlusMatrix]:
+    """Column rep of C and row rep of S^(k mod gamma) (*) R, one rep per class.
+
+    Class-mate columns of C coincide.  Row c of S^(k mod gamma) (*) R is
+    rows[class(c)], since (k mod gamma) + v is a multiple of gamma.
+    """
+    n = terms.product.rows
+    c_grid = _eps_grid(n)
+    r_grid = _eps_grid(n)
+    for cm in maxima:
+        for cls, rep in enumerate(cm.representatives):
+            for i in range(n):
+                c_grid[i][rep] = terms.c_global.data[i][rep]
+            r_grid[rep] = cm.rows[cls]
+    return MaxPlusMatrix.from_rows(c_grid), MaxPlusMatrix.from_rows(r_grid)
 
 
 def csr_product(terms: CsrTerms) -> MaxPlusMatrix:
-    """C (*) S^(k mod gamma) (*) R, checked against its two equivalent forms."""
-    out = mp_multiply(
-        mp_multiply(terms.c_global, mp_power(terms.s_global, terms.k % terms.gamma)),
-        terms.r_global,
-    )
-    direct = mp_multiply(
-        mp_multiply(terms.product, mp_power(terms.s_global, terms.v_exponent)), terms.product
-    )
-    if not matrices_equal(out, direct):
-        raise AssertionError("global CSR product disagrees with its direct form; this is a bug")
-    if terms.c_components:
-        parts = []
-        for c_nu, s_nu, r_nu, g_nu in zip(
-            terms.c_components, terms.s_components, terms.r_components, terms.gamma_nu
-        ):
-            parts.append(mp_multiply(mp_multiply(c_nu, mp_power(s_nu, terms.k % g_nu)), r_nu))
-        combined = entrywise_sup(parts)
-        if not matrices_equal(out, combined):
-            raise AssertionError("component CSR products disagree with the global one; this is a bug")
-    return out
+    """C (*) S^(k mod gamma) (*) R, from the rank-compressed factors."""
+    return mp_multiply(*_factors(terms, terms.class_maxima))
 
 
 @dataclass(frozen=True)
@@ -206,32 +221,15 @@ class RankFactors:
 def rank_compress(terms: CsrTerms) -> RankFactors:
     """Collapse duplicate class columns/rows of the CSR factors.
 
-    Columns of each component's C with indices in one cyclic class coincide,
-    as do the matching rows of S^(k mod gamma) (*) R, so keeping the
-    smallest node of every class reproduces the CSR product from factors
-    with at most sum(gamma_nu) live columns and rows.
+    Keeping the smallest node of every cyclic class reproduces the CSR
+    product from factors with at most sum(gamma_nu) live columns and rows.
     """
-    n = terms.product.rows
-    c_grid: list[list[Scalar]] = [[None] * n for _ in range(n)]
-    r_grid: list[list[Scalar]] = [[None] * n for _ in range(n)]
-    reps_all = []
-    for comp, c_nu, s_nu, r_nu in zip(
-        terms.components, terms.c_components, terms.s_components, terms.r_components
-    ):
-        sr_nu = mp_multiply(mp_power(s_nu, terms.k % comp.cyclicity), r_nu)
-        reps = tuple(min(members) for members in comp.classes())
-        reps_all.append(reps)
-        for rep in reps:
-            for i in range(n):
-                c_grid[i][rep] = c_nu.data[i][rep]
-            r_grid[rep] = list(sr_nu.data[rep])
-    c_prime = MaxPlusMatrix.from_rows(c_grid)
-    r_prime = MaxPlusMatrix.from_rows(r_grid)
-    rank_bound = sum(terms.gamma_nu)
-    if not matrices_equal(mp_multiply(c_prime, r_prime), csr_product(terms)):
-        raise AssertionError("compressed factors fail to rebuild the CSR product; this is a bug")
+    c_prime, r_prime = _factors(terms, terms.class_maxima)
     return RankFactors(
-        c_prime=c_prime, r_prime=r_prime, rank_bound=rank_bound, representatives=tuple(reps_all)
+        c_prime=c_prime,
+        r_prime=r_prime,
+        rank_bound=sum(terms.gamma_nu),
+        representatives=tuple(cm.representatives for cm in terms.class_maxima),
     )
 
 
@@ -254,41 +252,32 @@ class ProjectionReport:
         )
 
 
-def _columns_agree(a: MaxPlusMatrix, b: MaxPlusMatrix, cols: Sequence[int]) -> bool:
-    return all(a.data[i][j] == b.data[i][j] for j in cols for i in range(a.rows))
+def _projections_hold(full: MaxPlusMatrix, cm: ClassMaxima) -> tuple[bool, bool]:
+    """Whether the component's columns and rows of ``full`` are its class maxima.
 
-
-def _rows_agree(a: MaxPlusMatrix, b: MaxPlusMatrix, rows: Sequence[int]) -> bool:
-    return all(a.data[i] == b.data[i] for i in rows)
+    Column d of C (*) S^(k mod gamma) is columns[class(d)], and row c of
+    S^(k mod gamma) (*) R is rows[class(c)].
+    """
+    nodes = cm.component.class_of.items()
+    columns_ok = all(
+        row[d] == col for d, cls in nodes for row, col in zip(full.data, cm.columns[cls])
+    )
+    rows_ok = all(full.data[c] == cm.rows[cls] for c, cls in nodes)
+    return columns_ok, rows_ok
 
 
 def csr_critical_projections(terms: CsrTerms) -> ProjectionReport:
     """At critical columns the trailing factor is redundant; at critical rows
-    the leading one is.  Verifies both identities per component and globally."""
-    cols_ok = []
-    rows_ok = []
-    for comp, c_nu, s_nu, r_nu, g_nu in zip(
-        terms.components,
-        terms.c_components,
-        terms.s_components,
-        terms.r_components,
-        terms.gamma_nu,
-    ):
-        cs = mp_multiply(c_nu, mp_power(s_nu, terms.k % g_nu))
-        sr = mp_multiply(mp_power(s_nu, terms.k % g_nu), r_nu)
-        full = mp_multiply(cs, r_nu)
-        nodes = sorted(comp.nodes)
-        cols_ok.append(_columns_agree(full, cs, nodes))
-        rows_ok.append(_rows_agree(full, sr, nodes))
-
-    s_pow = mp_power(terms.s_global, terms.k % terms.gamma)
-    cs_g = mp_multiply(terms.c_global, s_pow)
-    sr_g = mp_multiply(s_pow, terms.r_global)
-    full_g = mp_multiply(cs_g, terms.r_global)
-    crit_nodes = sorted(terms.critical.critical_nodes)
+    the leading one is.  Verifies both identities on each component's own
+    CSR product and on the global one."""
+    per_component = [
+        _projections_hold(mp_multiply(*_factors(terms, (cm,))), cm) for cm in terms.class_maxima
+    ]
+    full = csr_product(terms)
+    global_ok = [_projections_hold(full, cm) for cm in terms.class_maxima]
     return ProjectionReport(
-        component_columns_ok=tuple(cols_ok),
-        component_rows_ok=tuple(rows_ok),
-        global_columns_ok=_columns_agree(full_g, cs_g, crit_nodes),
-        global_rows_ok=_rows_agree(full_g, sr_g, crit_nodes),
+        component_columns_ok=tuple(cols for cols, _ in per_component),
+        component_rows_ok=tuple(rows for _, rows in per_component),
+        global_columns_ok=all(cols for cols, _ in global_ok),
+        global_rows_ok=all(rows for _, rows in global_ok),
     )

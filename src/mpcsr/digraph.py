@@ -194,14 +194,14 @@ def _scc_gcd(component: list[int], edge_set: set[tuple[int, int]]) -> int:
 
 
 def _bfs_levels(component: list[int], edge_set: set[tuple[int, int]]) -> dict[int, int]:
-    anchor = min(component)
-    members = set(component)
+    members = sorted(set(component))
+    anchor = members[0]
     levels = {anchor: 0}
     frontier = [anchor]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in sorted(members):
+            for v in members:
                 if (u, v) in edge_set and v not in levels:
                     levels[v] = levels[u] + 1
                     nxt.append(v)

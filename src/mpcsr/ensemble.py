@@ -257,11 +257,6 @@ def _profile(crit: CriticalStructure) -> str:
     return "P3" if r == gamma else "other"
 
 
-def check_assumptions(ensemble: Ensemble) -> AssumptionReport:
-    """Assumption report of a built ensemble (recorded at build time)."""
-    return ensemble.assumption_report
-
-
 def path_weights(ensemble: Ensemble) -> PathWeights:
     """All optimal path weight tables used by the length thresholds.
 

@@ -8,9 +8,13 @@ algebraic code paths, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import importlib.util
 import random
+from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional, Sequence
 
+from mpcsr.digraph import CriticalComponent, CriticalStructure
 from mpcsr.ensemble import Ensemble, build_ensemble
 from mpcsr.semiring import MaxPlusMatrix
 
@@ -120,6 +124,165 @@ def power_series_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
             ),
         )
     return result
+
+
+# -- CSR terms from powers of the structure matrix ---------------------------
+
+
+def structure(n: int, edges) -> MaxPlusMatrix:
+    """0 on the given edges, eps elsewhere."""
+    grid: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
+    for u, v in edges:
+        grid[u][v] = 0.0
+    return MaxPlusMatrix.from_rows(grid)
+
+
+def dense_power(a: MaxPlusMatrix, k: int) -> MaxPlusMatrix:
+    out = MaxPlusMatrix.identity(a.rows)
+    for _ in range(k):
+        out = dense_multiply(out, a)
+    return out
+
+
+def power_threshold(s: MaxPlusMatrix, gamma: int) -> int:
+    """Smallest T >= 1 with s^T equal to s^(T+gamma), searched up to the
+    Wielandt bound plus gamma."""
+    cap = (s.rows - 1) ** 2 + 1 + gamma
+    powers = [MaxPlusMatrix.identity(s.rows), s]
+    for t in range(1, cap + 1):
+        while len(powers) <= t + gamma:
+            powers.append(dense_multiply(powers[-1], s))
+        if powers[t].data == powers[t + gamma].data:
+            return t
+    raise ValueError(f"powers did not become periodic with period {gamma} within {cap} steps")
+
+
+@dataclass(frozen=True)
+class SPowerTerms:
+    """CSR terms C = G (*) S^v and R = S^v (*) G built from tropical powers
+    of the structure matrix, once globally and once per critical component."""
+
+    k: int
+    product: MaxPlusMatrix
+    critical: CriticalStructure
+    gamma: int
+    gamma_nu: tuple[int, ...]
+    threshold: int
+    thresholds_nu: tuple[int, ...]
+    t_exponent: int
+    v_exponent: int
+    s_global: MaxPlusMatrix
+    s_components: tuple[MaxPlusMatrix, ...]
+    c_global: MaxPlusMatrix
+    r_global: MaxPlusMatrix
+    c_components: tuple[MaxPlusMatrix, ...]
+    r_components: tuple[MaxPlusMatrix, ...]
+
+    @property
+    def components(self) -> tuple[CriticalComponent, ...]:
+        return self.critical.components
+
+
+def s_power_csr_terms(ensemble: Ensemble, word) -> SPowerTerms:
+    """C, S and R from tropical powers of S, globally and per component.
+
+    The global threshold is searched on the global S, not derived from the
+    component thresholds."""
+    from mpcsr.trellis import gamma_product
+
+    product = gamma_product(ensemble, word)
+    crit = ensemble.critical
+    n = ensemble.size
+    k = len(word)
+    gamma = crit.global_cyclicity
+    s_global = structure(n, sorted(crit.critical_edges))
+    threshold = power_threshold(s_global, gamma)
+    t = max(1, -(-threshold // gamma))
+    v = (t + 1) * gamma - (k % gamma)
+    s_power_v = dense_power(s_global, v)
+    s_components = [structure(n, sorted(comp.edges)) for comp in crit.components]
+    s_components_v = [dense_power(s_nu, v) for s_nu in s_components]
+    return SPowerTerms(
+        k=k,
+        product=product,
+        critical=crit,
+        gamma=gamma,
+        gamma_nu=tuple(comp.cyclicity for comp in crit.components),
+        threshold=threshold,
+        thresholds_nu=tuple(
+            power_threshold(s_nu, comp.cyclicity)
+            for s_nu, comp in zip(s_components, crit.components)
+        ),
+        t_exponent=t,
+        v_exponent=v,
+        s_global=s_global,
+        s_components=tuple(s_components),
+        c_global=dense_multiply(product, s_power_v),
+        r_global=dense_multiply(s_power_v, product),
+        c_components=tuple(dense_multiply(product, s) for s in s_components_v),
+        r_components=tuple(dense_multiply(s, product) for s in s_components_v),
+    )
+
+
+def s_power_csr_product(terms: SPowerTerms) -> MaxPlusMatrix:
+    """C (*) S^(k mod gamma) (*) R on the global terms."""
+    s_pow = dense_power(terms.s_global, terms.k % terms.gamma)
+    return dense_multiply(dense_multiply(terms.c_global, s_pow), terms.r_global)
+
+
+def s_power_direct_form(terms: SPowerTerms) -> MaxPlusMatrix:
+    """G (*) S^v (*) G."""
+    return dense_multiply(
+        dense_multiply(terms.product, dense_power(terms.s_global, terms.v_exponent)), terms.product
+    )
+
+
+def s_power_rank_factors(terms: SPowerTerms):
+    """(c_prime, r_prime, representatives): the smallest node of every class
+    keeps its column of C_nu and its row of S_nu^(k mod gamma_nu) (*) R_nu."""
+    n = terms.product.rows
+    c_grid: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
+    r_grid: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
+    reps_all = []
+    for comp, c_nu, s_nu, r_nu in zip(
+        terms.components, terms.c_components, terms.s_components, terms.r_components
+    ):
+        sr_nu = dense_multiply(dense_power(s_nu, terms.k % comp.cyclicity), r_nu)
+        reps = tuple(min(members) for members in comp.classes())
+        reps_all.append(reps)
+        for rep in reps:
+            for i in range(n):
+                c_grid[i][rep] = c_nu.data[i][rep]
+            r_grid[rep] = list(sr_nu.data[rep])
+    return MaxPlusMatrix.from_rows(c_grid), MaxPlusMatrix.from_rows(r_grid), tuple(reps_all)
+
+
+def s_power_projections(terms: SPowerTerms):
+    """(component columns ok, component rows ok, global columns ok, global
+    rows ok): the CSR product against C (*) S^m at critical columns and
+    against S^m (*) R at critical rows, per component and globally."""
+
+    def agree(full, cs, sr, nodes):
+        cols = all(full.data[i][j] == cs.data[i][j] for j in nodes for i in range(full.rows))
+        return cols, all(full.data[i] == sr.data[i] for i in nodes)
+
+    per_component = []
+    for comp, c_nu, s_nu, r_nu in zip(
+        terms.components, terms.c_components, terms.s_components, terms.r_components
+    ):
+        s_m = dense_power(s_nu, terms.k % comp.cyclicity)
+        cs = dense_multiply(c_nu, s_m)
+        sr = dense_multiply(s_m, r_nu)
+        per_component.append(agree(dense_multiply(cs, r_nu), cs, sr, sorted(comp.nodes)))
+    s_m = dense_power(terms.s_global, terms.k % terms.gamma)
+    cs = dense_multiply(terms.c_global, s_m)
+    sr = dense_multiply(s_m, terms.r_global)
+    crit_nodes = sorted(terms.critical.critical_nodes)
+    return (
+        tuple(c for c, _ in per_component),
+        tuple(r for _, r in per_component),
+        *agree(dense_multiply(cs, terms.r_global), cs, sr, crit_nodes),
+    )
 
 
 # -- cycles ----------------------------------------------------------------
@@ -398,6 +561,18 @@ def _realisable(subset, grid, n, m) -> bool:
         if not changed:
             return True
     return not changed
+
+
+# -- benchmark modules -------------------------------------------------------
+
+
+def bench_module(name: str):
+    """Load ``bench/<name>.py`` by path; the benchmark is not a package."""
+    path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # -- random instances --------------------------------------------------------

@@ -36,6 +36,7 @@ from oracles import (
     random_p0_ensemble,
     random_visualised_ensemble,
     random_word,
+    s_power_csr_terms,
     simple_cycle_means,
 )
 
@@ -248,7 +249,7 @@ def test_property_class_column_row_equality():
         for _ in range(200):
             ens = random_visualised_ensemble(rng, n_max=6)
             word = random_word(rng, ens, rng.randint(1, 10))
-            terms = csr_terms(ens, word)
+            terms = s_power_csr_terms(ens, word)
             for comp, c_nu, r_nu in zip(
                 terms.components, terms.c_components, terms.r_components
             ):
@@ -259,7 +260,7 @@ def test_property_class_column_row_equality():
                             assert c_nu.data[i][other] == c_nu.data[i][first]
                         assert r_nu.data[other] == r_nu.data[first]
 
-    _criterion("class-mate columns/rows of the CSR factors coincide (200 cases)", body)
+    _criterion("class-mate columns/rows of the S-power CSR factors coincide (200 cases)", body)
 
 
 def test_property_component_sum():
@@ -268,7 +269,7 @@ def test_property_component_sum():
         for _ in range(200):
             ens = random_visualised_ensemble(rng, n_max=6)
             word = random_word(rng, ens, rng.randint(1, 10))
-            terms = csr_terms(ens, word)
+            terms = s_power_csr_terms(ens, word)
             global_csr = mp_multiply(
                 mp_multiply(terms.c_global, mp_power(terms.s_global, terms.k % terms.gamma)),
                 terms.r_global,
@@ -284,7 +285,7 @@ def test_property_component_sum():
             ]
             assert matrices_equal(global_csr, entrywise_sup(parts))
 
-    _criterion("global CSR product equals the component sum exactly (200 cases)", body)
+    _criterion("global S-power CSR product equals the component sum exactly (200 cases)", body)
 
 
 def test_property_rank_factorisation():

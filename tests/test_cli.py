@@ -159,6 +159,12 @@ def test_counterexample_command(capsys):
     assert first["display_ok"] is True
 
 
+def test_counterexample_two_cycle_family_at_first_parameter(capsys):
+    code, out, _ = run(capsys, "counterexample", "--family", "P1_six", "--t", "1")
+    assert code == 0
+    assert json.loads(out)["all_ok"] is True
+
+
 def test_paper_repro_manifest(capsys):
     code, out, _ = run(capsys, "paper-repro")
     data = json.loads(out)

@@ -94,3 +94,15 @@ def test_odd_and_even_classes_cover_two_cycle_family():
         even = is_csr(ens, fam.word_classes[1].word(t))
         assert (even.product.data[1][4], even.csr.data[1][4]) == (-301.0, -202.0)
         assert (even.product.data[3][4], even.csr.data[3][4]) == (-401.0, -302.0)
+
+
+def test_two_cycle_family_verifies_at_its_first_parameter():
+    # At t = 1 (k = 4) no length-4 walk joins 3 to 4, so that witness starts
+    # at t = 2; the word is still non-CSR and witness (1, 4) holds.
+    fam = build_family("P1_six")
+    report = verify_family(fam, [1])
+    assert report.all_ok
+    (check,) = report.checks
+    assert (check.label, check.k, check.failed_csr) == ("even_length", 4, True)
+    assert check.witness_details == ((1, 4, -301.0, -202.0, -301.0, -202.0),)
+    assert is_csr(fam.ensemble(), fam.word_classes[1].word(1)).product.data[3][4] is None

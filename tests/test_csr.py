@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from mpcsr.counterexamples import build_family
+from mpcsr import demo
+from mpcsr.counterexamples import FAMILY_IDS, build_family
 from mpcsr.csr import (
     csr_critical_projections,
     csr_product,
@@ -18,8 +19,15 @@ from mpcsr.trellis import Word
 from mpcsr.bounds import wielandt
 
 from oracles import (
+    bench_module,
+    random_p0_ensemble,
     random_visualised_ensemble,
     random_word,
+    s_power_csr_product,
+    s_power_csr_terms,
+    s_power_direct_form,
+    s_power_projections,
+    s_power_rank_factors,
     symmetric_trellis_matrix,
     tropical_factor_rank,
 )
@@ -253,3 +261,88 @@ def test_demo_projections_hold():
     full = mp_multiply(cs, terms.r_global)
     for i in range(8):
         assert full.data[i][0] == cs.data[i][0]
+
+
+# -- referee: the S-power construction --------------------------------------------
+
+
+def _demo_variant(transform):
+    return build_ensemble([
+        MaxPlusMatrix.from_rows([[x if x is None else transform(x) for x in row] for row in g.data])
+        for g in demo.generators()
+    ])
+
+
+def _referee_cases(case_set):
+    rng = random.Random(606)
+    if case_set == "demo":
+        yield demo.ensemble(), demo.WORD
+    elif case_set == "families":
+        for family_id in FAMILY_IDS:
+            fam = build_family(family_id)
+            ens = fam.ensemble()
+            for cls in fam.word_classes:
+                for t in range(cls.t_min, cls.t_min + 15):
+                    yield ens, cls.word(t)
+    elif case_set == "visualised":
+        for _ in range(300):
+            ens = random_visualised_ensemble(rng, n_max=6)
+            yield ens, random_word(rng, ens, rng.randint(1, 10))
+    elif case_set == "p0":
+        for _ in range(100):
+            ens = random_p0_ensemble(rng, n_max=6)
+            yield ens, random_word(rng, ens, rng.randint(1, 12))
+    elif case_set == "gen_n24":
+        gen = bench_module("gen")
+        for gamma, density in ((1, 0.15), (2, 0.5), (3, 0.15), (4, 0.5), (2, 0.15), (3, 0.5)):
+            gens = gen.p0_generators(rng, 24, gamma, density)
+            ens = build_ensemble([MaxPlusMatrix.from_rows(g) for g in gens])
+            for length in (1, 7, 30):
+                yield ens, random_word(rng, ens, length)
+    else:
+        for transform in (
+            lambda x: x * 0.1,
+            lambda x: x * 0.3,
+            lambda x: x * (1 / 3),
+            lambda x: x * 1e-7,
+            lambda x: x + 0.1,
+        ):
+            ens = _demo_variant(transform)
+            yield ens, demo.WORD
+            yield ens, random_word(rng, ens, rng.randint(1, 30))
+
+
+@pytest.mark.parametrize(
+    "case_set", ["demo", "families", "visualised", "p0", "gen_n24", "demo_variants"]
+)
+def test_class_maxima_match_s_power_referee(case_set):
+    cases = 0
+    for ens, word in _referee_cases(case_set):
+        terms = csr_terms(ens, word)
+        ref = s_power_csr_terms(ens, word)
+        for field in ("gamma_nu", "threshold", "thresholds_nu", "t_exponent", "v_exponent"):
+            assert getattr(terms, field) == getattr(ref, field), field
+        for field in ("product", "s_global", "c_global", "r_global"):
+            assert getattr(terms, field).data == getattr(ref, field).data, field
+        # One exponent serves every component: v = -k modulo gamma_nu, past T_nu.
+        k, v = terms.k, terms.v_exponent
+        for g_nu, t_nu_threshold in zip(terms.gamma_nu, terms.thresholds_nu):
+            t_nu = (v + (k % g_nu)) // g_nu - 1
+            assert (t_nu + 1) * g_nu - (k % g_nu) == v and t_nu * g_nu >= t_nu_threshold
+        csr = csr_product(terms)
+        assert csr.data == s_power_csr_product(ref).data
+        assert csr.data == s_power_direct_form(ref).data
+        factors = rank_compress(terms)
+        c_prime, r_prime, representatives = s_power_rank_factors(ref)
+        assert factors.c_prime.data == c_prime.data
+        assert factors.r_prime.data == r_prime.data
+        assert factors.representatives == representatives
+        report = csr_critical_projections(terms)
+        assert (
+            report.component_columns_ok,
+            report.component_rows_ok,
+            report.global_columns_ok,
+            report.global_rows_ok,
+        ) == s_power_projections(ref)
+        cases += 1
+    assert cases > 0

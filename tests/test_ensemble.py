@@ -3,7 +3,7 @@ import random
 import pytest
 
 from mpcsr.counterexamples import build_family
-from mpcsr.ensemble import EnsembleError, build_ensemble, check_assumptions, path_weights, u_k
+from mpcsr.ensemble import EnsembleError, build_ensemble, path_weights, u_k
 from mpcsr.semiring import MaxPlusMatrix, matrices_equal
 from mpcsr.trellis import gamma_product
 
@@ -128,7 +128,7 @@ def test_three_loop_family_inf_is_first_generator():
 def test_demo_assumptions_and_profile():
     from mpcsr import demo
 
-    rep = check_assumptions(demo.ensemble())
+    rep = demo.ensemble().assumption_report
     assert rep.all_core()
     assert rep.profile == "P0"
 
@@ -138,7 +138,7 @@ def test_demo_assumptions_and_profile():
     [("P1_six", "P1"), ("P1_three", "P1"), ("P2_six", "P2"), ("P3_four", "P3")],
 )
 def test_family_profiles(family_id, profile):
-    rep = check_assumptions(build_family(family_id).ensemble())
+    rep = build_family(family_id).ensemble().assumption_report
     assert rep.all_core()
     assert rep.profile == profile
 
