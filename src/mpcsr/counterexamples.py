@@ -394,6 +394,8 @@ class ClassCheck:
     witnesses_ok: bool
     display_ok: Optional[bool]
     witness_details: tuple[tuple[int, int, Scalar, Scalar, float, float], ...]
+    product: MaxPlusMatrix
+    csr: MaxPlusMatrix
 
     @property
     def ok(self) -> bool:
@@ -451,6 +453,8 @@ def verify_family(family: Family, t_values: Sequence[int]) -> FamilyReport:
                     witnesses_ok=good,
                     display_ok=display_ok,
                     witness_details=tuple(details),
+                    product=result.product,
+                    csr=result.csr,
                 )
             )
     return FamilyReport(family_id=family.family_id, checks=tuple(checks))

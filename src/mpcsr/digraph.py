@@ -318,10 +318,9 @@ def critical_graph(g: WeightedDigraph, lam: float, tol: float = TOL) -> Critical
             continue
         comp_edges = frozenset((u, v) for u, v in crit_edges if u in set(comp_nodes) and v in set(comp_nodes))
         class_of = cyclic_classes(comp_nodes, sorted(comp_edges))
-        gamma = cyclicity(comp_nodes, sorted(comp_edges))
-        components.append(
-            CriticalComponent(frozenset(comp_nodes), comp_edges, gamma, class_of)
-        )
+        # Every cyclic class of a strongly connected digraph is nonempty.
+        gamma = max(class_of.values()) + 1
+        components.append(CriticalComponent(frozenset(comp_nodes), comp_edges, gamma, class_of))
 
     global_gamma = 1
     for c in components:

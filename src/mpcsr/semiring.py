@@ -255,13 +255,19 @@ def mp_power(a: MaxPlusMatrix, k: int) -> MaxPlusMatrix:
     return result
 
 
-def entrywise_sup(mats: Sequence[MaxPlusMatrix]) -> MaxPlusMatrix:
-    """Entrywise tropical sum (max) of a nonempty family of equal-shape matrices."""
+def _common_shape(mats: Sequence[MaxPlusMatrix], what: str) -> MaxPlusMatrix:
+    """First member of a nonempty family of equal-shape matrices."""
     if not mats:
-        raise ShapeError("supremum of an empty family is undefined")
+        raise ShapeError(f"{what} of an empty family is undefined")
     first = mats[0]
     if any((m.rows, m.cols) != (first.rows, first.cols) for m in mats):
-        raise ShapeError("entrywise supremum needs equal shapes")
+        raise ShapeError(f"entrywise {what} needs equal shapes")
+    return first
+
+
+def entrywise_sup(mats: Sequence[MaxPlusMatrix]) -> MaxPlusMatrix:
+    """Entrywise tropical sum (max) of a nonempty family of equal-shape matrices."""
+    first = _common_shape(mats, "supremum")
     out = []
     for i in range(first.rows):
         row = []
@@ -276,11 +282,7 @@ def entrywise_sup(mats: Sequence[MaxPlusMatrix]) -> MaxPlusMatrix:
 
 def entrywise_inf(mats: Sequence[MaxPlusMatrix]) -> MaxPlusMatrix:
     """Entrywise infimum; an eps entry in any member makes the infimum eps."""
-    if not mats:
-        raise ShapeError("infimum of an empty family is undefined")
-    first = mats[0]
-    if any((m.rows, m.cols) != (first.rows, first.cols) for m in mats):
-        raise ShapeError("entrywise infimum needs equal shapes")
+    first = _common_shape(mats, "infimum")
     out = []
     for i in range(first.rows):
         row = []

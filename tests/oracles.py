@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from mpcsr.digraph import CriticalComponent, CriticalStructure
 from mpcsr.ensemble import Ensemble, build_ensemble
-from mpcsr.semiring import MaxPlusMatrix
+from mpcsr.semiring import MaxPlusMatrix, Scalar
 
 E = None
 Grid = Sequence[Sequence[Optional[float]]]
@@ -392,6 +392,122 @@ def enumerate_first_passage(
 
         rec_back(k, j, 0.0)
     return w_star, v_star
+
+
+# -- mirrored first-passage DP ---------------------------------------------
+
+
+def mirrored_first_passage_data(
+    ensemble: Ensemble, word: Word
+) -> tuple[tuple[Scalar, ...], tuple[Optional[int], ...], tuple[Scalar, ...], tuple[Optional[int], ...]]:
+    """First-passage weights and lengths by the dense mirrored DP.
+
+    A forward half computes w* and a backward half v*, each a triple loop
+    over the noncritical nodes.  Returns (w_star, w_lengths, v_star,
+    v_lengths); lengths are None where the critical set is unreachable
+    within the word.
+    """
+    word.validate(ensemble)
+    n = ensemble.size
+    k = len(word)
+    crit = ensemble.critical_nodes
+    noncrit = [i for i in range(n) if i not in crit]
+    allowed = [i not in crit for i in range(n)]
+    gens = ensemble.normalized
+
+    w_star: list[Scalar] = [0.0 if i in crit else None for i in range(n)]
+    w_len: list[Optional[int]] = [0 if i in crit else None for i in range(n)]
+    # reach[i][x]: best walk weight i -> x through noncritical nodes only
+    reach: list[list[Scalar]] = [
+        [0.0 if (i == x and allowed[i]) else None for x in range(n)] for i in range(n)
+    ]
+    crit_sorted = sorted(crit)
+    for step, letter in enumerate(word.letters, start=1):
+        a = gens[letter - 1].data
+        for i in noncrit:
+            row = reach[i]
+            for x in noncrit:
+                base = row[x]
+                if base is None:
+                    continue
+                ax = a[x]
+                for c in crit_sorted:
+                    w = ax[c]
+                    if w is None:
+                        continue
+                    cand = base + w
+                    if w_star[i] is None or cand > w_star[i]:
+                        w_star[i] = cand
+                        w_len[i] = step
+        if step < k:
+            reach = _advance(reach, a, noncrit, n)
+
+    v_star: list[Scalar] = [0.0 if j in crit else None for j in range(n)]
+    v_len: list[Optional[int]] = [0 if j in crit else None for j in range(n)]
+    # back[y][j]: best walk weight y -> j through noncritical nodes only
+    back: list[list[Scalar]] = [
+        [0.0 if (y == j and allowed[y]) else None for j in range(n)] for y in range(n)
+    ]
+    for offset, letter in enumerate(reversed(word.letters), start=1):
+        a = gens[letter - 1].data
+        for j in noncrit:
+            for c in crit_sorted:
+                ac = a[c]
+                for y in noncrit:
+                    w = ac[y]
+                    if w is None:
+                        continue
+                    base = back[y][j]
+                    if base is None:
+                        continue
+                    cand = w + base
+                    if v_star[j] is None or cand > v_star[j]:
+                        v_star[j] = cand
+                        v_len[j] = offset
+        if offset < k:
+            back = _advance_back(back, a, noncrit, n)
+
+    return tuple(w_star), tuple(w_len), tuple(v_star), tuple(v_len)
+
+
+def _advance(reach: list[list[Scalar]], a, noncrit: list[int], n: int) -> list[list[Scalar]]:
+    out: list[list[Scalar]] = [[None] * n for _ in range(n)]
+    for i in noncrit:
+        row = reach[i]
+        orow = out[i]
+        for x in noncrit:
+            base = row[x]
+            if base is None:
+                continue
+            ax = a[x]
+            for y in noncrit:
+                w = ax[y]
+                if w is None:
+                    continue
+                cand = base + w
+                if orow[y] is None or cand > orow[y]:
+                    orow[y] = cand
+    return out
+
+
+def _advance_back(back: list[list[Scalar]], a, noncrit: list[int], n: int) -> list[list[Scalar]]:
+    out: list[list[Scalar]] = [[None] * n for _ in range(n)]
+    for x in noncrit:
+        ax = a[x]
+        orow = out[x]
+        for y in noncrit:
+            w = ax[y]
+            if w is None:
+                continue
+            row = back[y]
+            for j in noncrit:
+                base = row[j]
+                if base is None:
+                    continue
+                cand = w + base
+                if orow[j] is None or cand > orow[j]:
+                    orow[j] = cand
+    return out
 
 
 def best_critical_touching_walk(

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -157,6 +158,28 @@ def test_counterexample_command(capsys):
     first = data["classes"][0]
     assert first["equal"] is False
     assert first["display_ok"] is True
+
+
+def test_counterexample_command_reuses_the_family_check(capsys, monkeypatch):
+    # The command reports verify_family's own products and CSR forms: one
+    # ensemble build and one CSR check per class, wherever they are bound.
+    calls = {"build_ensemble": 0, "is_csr": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "mpcsr" and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    code, out, _ = run(capsys, "counterexample", "--family", "P2_six", "--t", "10")
+    assert code == 0
+    assert len(json.loads(out)["classes"]) == 4
+    assert calls == {"build_ensemble": 1, "is_csr": 4}
 
 
 def test_counterexample_two_cycle_family_at_first_parameter(capsys):

@@ -92,6 +92,16 @@ def test_power_rejects_non_square():
         mp_power(MaxPlusMatrix.epsilon(2, 3), 2)
 
 
+@pytest.mark.parametrize(
+    "fn, name", [(entrywise_sup, "supremum"), (entrywise_inf, "infimum")]
+)
+def test_entrywise_bounds_reject_empty_and_mixed_families(fn, name):
+    with pytest.raises(ShapeError, match=f"^{name} of an empty family is undefined$"):
+        fn([])
+    with pytest.raises(ShapeError, match=f"^entrywise {name} needs equal shapes$"):
+        fn([MaxPlusMatrix.epsilon(2, 2), MaxPlusMatrix.epsilon(2, 3)])
+
+
 def test_structure_power_periodicity():
     # Powers of a 0/eps matrix repeat once past their transient.
     s = mat([

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from mpcsr.counterexamples import build_family
-from mpcsr.semiring import matrices_equal
+from mpcsr import demo
+from mpcsr.counterexamples import FAMILY_IDS, build_family
+from mpcsr.ensemble import build_ensemble
+from mpcsr.semiring import MaxPlusMatrix, matrices_equal
 from mpcsr.trellis import (
     Word,
     first_passage_data,
@@ -13,8 +15,12 @@ from mpcsr.trellis import (
 )
 
 from oracles import (
+    bench_module,
     best_walk_matrix,
     enumerate_first_passage,
+    mirrored_first_passage_data,
+    random_matrix,
+    random_p0_ensemble,
     random_visualised_ensemble,
     random_word,
 )
@@ -174,3 +180,77 @@ def test_walk_length_rejects_nonnegative_lambda_star():
     ens = dataclasses.replace(demo.ensemble(), lambda_star=0.5)
     with pytest.raises(ValueError):
         optimal_walk_lengths(ens, Word((1, 1)))
+
+
+# -- referee: the mirrored dense DP -----------------------------------------------
+
+FLOAT_VARIANTS = (
+    lambda x: x,
+    lambda x: x * 0.1,
+    lambda x: x * 0.3,
+    lambda x: x * (1 / 3),
+    lambda x: x * 1e-7,
+    lambda x: x + 0.1,
+)
+
+
+def _variant(generators, transform):
+    return build_ensemble([
+        MaxPlusMatrix.from_rows([[x if x is None else transform(x) for x in row] for row in g.data])
+        for g in generators
+    ])
+
+
+def _first_passage_cases(case_set):
+    rng = random.Random(707)
+    if case_set == "demo_variants":
+        for transform in FLOAT_VARIANTS:
+            ens = _variant(demo.generators(), transform)
+            yield ens, demo.WORD
+            for _ in range(4):
+                yield ens, random_word(rng, ens, rng.randint(1, 30))
+    elif case_set == "families":
+        for family_id in FAMILY_IDS:
+            fam = build_family(family_id)
+            ens = fam.ensemble()
+            for cls in fam.word_classes:
+                for t in range(cls.t_min, cls.t_min + 15):
+                    yield ens, cls.word(t)
+    elif case_set == "visualised":
+        for _ in range(200):
+            ens = random_visualised_ensemble(rng, n_max=6)
+            yield ens, random_word(rng, ens, rng.randint(1, 12))
+    elif case_set == "p0":
+        for _ in range(100):
+            ens = random_p0_ensemble(rng, n_max=6)
+            yield ens, random_word(rng, ens, rng.randint(1, 12))
+    elif case_set == "unvisualised":
+        count = 0
+        while count < 60:
+            n = rng.randint(2, 6)
+            gens = [random_matrix(rng, n, 0.6, lo=-9, hi=9) for _ in range(rng.randint(1, 3))]
+            try:
+                ens = build_ensemble(gens)
+            except ValueError:
+                continue
+            count += 1
+            yield ens, random_word(rng, ens, rng.randint(1, 12))
+    else:
+        gen = bench_module("gen")
+        for n, gamma, density in ((12, 1, 0.5), (12, 3, 0.15), (24, 2, 0.15), (24, 4, 0.5)):
+            gens = [MaxPlusMatrix.from_rows(g) for g in gen.p0_generators(rng, n, gamma, density)]
+            for transform in FLOAT_VARIANTS:
+                ens = _variant(gens, transform)
+                for length in (1, 9, 30):
+                    yield ens, random_word(rng, ens, length)
+
+
+@pytest.mark.parametrize(
+    "case_set", ["demo_variants", "families", "visualised", "p0", "unvisualised", "gen_p0"]
+)
+def test_first_passage_matches_mirrored_referee(case_set):
+    cases = 0
+    for ens, word in _first_passage_cases(case_set):
+        assert first_passage_data(ens, word) == mirrored_first_passage_data(ens, word), word.letters
+        cases += 1
+    assert cases > 0
