@@ -56,7 +56,11 @@ class WeakBoundResult:
     scanned length up to ``certified_up_to``; ``first_k`` is the smallest
     length satisfying its own condition in isolation (the condition can
     hold vacuously at small lengths where no critical-avoiding pair is
-    reachable in exactly that many steps, then fail again).
+    reachable in exactly that many steps, then fail again).  ``period`` is
+    the stopping point (T, sigma) of the scan: a_inf^(T+sigma) equals
+    a_inf^T exactly, so every threshold from length T on repeats with
+    period sigma.  It is None when no power repeated within the window and
+    the scan ran to ``certified_up_to``.
     """
 
     k: Optional[int]
@@ -67,6 +71,7 @@ class WeakBoundResult:
     slack: int
     finite_pairs: int
     diagnostics: tuple[str, ...]
+    period: Optional[tuple[int, int]] = None
 
 
 def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
@@ -77,9 +82,17 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
     critical-avoiding weight gamma_ij and length-k infimum walk weight
     u^k_ij are both finite; pairs without a critical-avoiding path impose
     nothing.  Every length passing the condition has all its word products
-    dominated entrywise by their CSR form.  The scan runs to k_max and
-    returns the start of the final all-pass run, so the guarantee covers
-    the whole certified window rather than one incidental length.
+    dominated entrywise by their CSR form.  The result is the start of the
+    final all-pass run up to k_max, so the guarantee covers the whole
+    certified window rather than one incidental length.
+
+    The threshold at length k depends only on u^k = a_inf^k, and
+    u^(k+1) = u^k (x) a_inf.  So the scan stops at the first exact repeat
+    u^(T+sigma) == u^T and fills the rest of the window by periodicity,
+    holding the T+sigma-1 distinct powers until then.  When no power
+    repeats within k_max (the infimum's cycle mean is negative, or float
+    rounding keeps the powers drifting) it steps through all k_max lengths
+    and holds all k_max powers.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
@@ -107,9 +120,16 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
     thresholds: list[Optional[float]] = []
     # u holds the rows of a_inf^k; each step is the row-sparse product that
     # mp_multiply(u, a_inf) computes, without building a matrix per length.
+    # seen maps every power so far to its exponent.
     inf_rows = finite_rows(ensemble.a_inf)
     u = ensemble.a_inf.data
-    for _ in range(k_max):
+    seen: dict[tuple[tuple[Scalar, ...], ...], int] = {}
+    period = None
+    for k in range(1, k_max + 1):
+        if u in seen:
+            period = (seen[u], k - seen[u])
+            break
+        seen[u] = k
         worst = None
         for urow, avoid_row in zip(u, avoid_rows):
             for j, g in avoid_row:
@@ -120,7 +140,11 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
                 if worst is None or value > worst:
                     worst = value
         thresholds.append(worst)
-        u = [row_product(row, inf_rows, n) for row in u]
+        u = tuple(tuple(row_product(row, inf_rows, n)) for row in u)
+    if period is not None:
+        sigma = period[1]
+        while len(thresholds) < k_max:
+            thresholds.append(thresholds[-sigma])
     ok = [t is None or k > t for k, t in enumerate(thresholds, start=1)]
     first_k = next((k for k, good in enumerate(ok, start=1) if good), None)
     if not ok[-1]:
@@ -133,6 +157,7 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
             slack=slack,
             finite_pairs=finite_pairs,
             diagnostics=(f"the condition still fails at length {k_max}; raise k_max",),
+            period=period,
         )
     stable = k_max
     while stable > 1 and ok[stable - 2]:
@@ -146,6 +171,7 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
         slack=slack,
         finite_pairs=finite_pairs,
         diagnostics=(),
+        period=period,
     )
 
 

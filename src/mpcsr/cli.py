@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 from .bounds import AssumptionError, ambient_csr_bound, weak_csr_bound
 from .counterexamples import FAMILY_IDS, build_family, verify_family
 from .csr import is_csr, rank_compress
-from .demo import reproduction_checks
 from .ensemble import Ensemble, EnsembleError, build_ensemble
 from .semiring import MaxPlusMatrix, ShapeError, mp_power
 from .trellis import Word, first_passage_weights
@@ -250,6 +249,9 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_paper_repro(args) -> int:
+    # Imported here so that the other subcommands do not load the dataset.
+    from .demo import reproduction_checks
+
     items = reproduction_checks()
     payload = {
         "items": [

@@ -59,6 +59,22 @@ def periodicity_threshold(s: MaxPlusMatrix, gamma: int) -> int:
     )
 
 
+def _component_thresholds(ensemble: Ensemble) -> tuple[int, ...]:
+    """Transient of the structure matrix of every critical component.
+
+    These depend only on the critical graph, so they are computed on the
+    first call and kept on the ensemble instance, as ``path_weights`` is.
+    """
+    cached = ensemble.__dict__.get("_thresholds_nu")
+    if cached is None:
+        n = ensemble.size
+        cached = ensemble.__dict__["_thresholds_nu"] = tuple(
+            periodicity_threshold(structure_matrix(n, sorted(comp.edges)), comp.cyclicity)
+            for comp in ensemble.critical.components
+        )
+    return cached
+
+
 @dataclass(frozen=True)
 class ClassMaxima:
     """Maxima of a product over the cyclic classes of one critical component.
@@ -120,10 +136,7 @@ def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
     k = len(word)
     gamma = crit.global_cyclicity
 
-    thresholds_nu = tuple(
-        periodicity_threshold(structure_matrix(n, sorted(comp.edges)), comp.cyclicity)
-        for comp in crit.components
-    )
+    thresholds_nu = _component_thresholds(ensemble)
     # S is block-diagonal over the components, so its transient is theirs.
     threshold = max(thresholds_nu, default=1)
     t = max(1, -(-threshold // gamma))

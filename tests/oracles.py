@@ -285,6 +285,86 @@ def s_power_projections(terms: SPowerTerms):
     )
 
 
+# -- full weak-bound scan ------------------------------------------------------
+
+
+def full_scan_weak_csr_bound(ensemble: Ensemble, k_max: int):
+    """The weak threshold from every length 1..k_max, with no early stop.
+
+    Steps u = a_inf^k through the whole window and evaluates the condition
+    at each length, so it never relies on the powers becoming periodic.
+    ``period`` is left at its default.
+    """
+    from mpcsr.bounds import AssumptionError, WeakBoundResult
+    from mpcsr.ensemble import path_weights
+    from mpcsr.semiring import finite_rows, row_product
+
+    if k_max < 1:
+        raise ValueError(f"k_max must be positive, got {k_max}")
+    lam = ensemble.lambda_star
+    if lam is not None and lam >= 0:
+        raise AssumptionError(
+            f"noncritical cycle mean {lam} is nonnegative; no upper-bound threshold exists"
+        )
+    pw = path_weights(ensemble)
+    n = ensemble.size
+    slack = n - len(ensemble.critical_nodes)
+    avoid_rows = finite_rows(pw.gamma_avoid)
+    finite_pairs = sum(len(row) for row in avoid_rows)
+    if not finite_pairs:
+        return WeakBoundResult(
+            k=1,
+            first_k=1,
+            certified_up_to=k_max,
+            threshold_at_k=None,
+            lambda_star=lam,
+            slack=slack,
+            finite_pairs=0,
+            diagnostics=("every pair of nodes must pass through the critical set",),
+        )
+    thresholds: list[Optional[float]] = []
+    inf_rows = finite_rows(ensemble.a_inf)
+    u = ensemble.a_inf.data
+    for _ in range(k_max):
+        worst = None
+        for urow, avoid_row in zip(u, avoid_rows):
+            for j, g in avoid_row:
+                uk = urow[j]
+                if uk is None:
+                    continue
+                value = float(slack) if lam is None else (uk - g) / lam + slack
+                if worst is None or value > worst:
+                    worst = value
+        thresholds.append(worst)
+        u = [row_product(row, inf_rows, n) for row in u]
+    ok = [t is None or k > t for k, t in enumerate(thresholds, start=1)]
+    first_k = next((k for k, good in enumerate(ok, start=1) if good), None)
+    if not ok[-1]:
+        return WeakBoundResult(
+            k=None,
+            first_k=first_k,
+            certified_up_to=k_max,
+            threshold_at_k=None,
+            lambda_star=lam,
+            slack=slack,
+            finite_pairs=finite_pairs,
+            diagnostics=(f"the condition still fails at length {k_max}; raise k_max",),
+        )
+    stable = k_max
+    while stable > 1 and ok[stable - 2]:
+        stable -= 1
+    return WeakBoundResult(
+        k=stable,
+        first_k=first_k,
+        certified_up_to=k_max,
+        threshold_at_k=thresholds[stable - 1],
+        lambda_star=lam,
+        slack=slack,
+        finite_pairs=finite_pairs,
+        diagnostics=(),
+    )
+
+
 # -- cycles ----------------------------------------------------------------
 
 

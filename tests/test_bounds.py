@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -17,7 +18,13 @@ from mpcsr.ensemble import build_ensemble
 from mpcsr.semiring import MaxPlusMatrix
 from mpcsr.trellis import Word
 
-from oracles import random_word
+from oracles import (
+    bench_module,
+    dense_multiply,
+    full_scan_weak_csr_bound,
+    random_visualised_ensemble,
+    random_word,
+)
 
 E = None
 
@@ -110,6 +117,121 @@ def test_weak_bound_exhaustion_reports_none():
     res = weak_csr_bound(demo.ensemble(), 2)
     assert res.k is None
     assert res.diagnostics
+
+
+# -- early stop against the full scan ---------------------------------------------
+
+DEMO_VARIANTS = {
+    "demo": lambda x: x,
+    "x0.1": lambda x: x * 0.1,
+    "x0.3": lambda x: x * 0.3,
+    "x1/3": lambda x: x * (1 / 3),
+    "x1e-7": lambda x: x * 1e-7,
+    "+0.1": lambda x: x + 0.1,
+}
+
+
+def _demo_variant(name):
+    from mpcsr import demo
+
+    transform = DEMO_VARIANTS[name]
+    return build_ensemble([
+        MaxPlusMatrix.from_rows([[x if x is None else transform(x) for x in row] for row in g.data])
+        for g in demo.generators()
+    ])
+
+
+def _weak_cases(case_set):
+    if case_set == "demo_variants":
+        for name in DEMO_VARIANTS:
+            yield _demo_variant(name)
+    elif case_set == "gen_p0":
+        gen = bench_module("gen")
+        rng = random.Random(5)
+        for n in (12, 18, 24):
+            for gamma in (1, 2, 3):
+                for density in (0.15, 0.5):
+                    gens = gen.p0_generators(rng, n, gamma, density)
+                    yield build_ensemble([MaxPlusMatrix.from_rows(g) for g in gens])
+    elif case_set == "visualised":
+        rng = random.Random(808)
+        for _ in range(30):
+            yield random_visualised_ensemble(rng, n_max=7)
+    else:
+        # lambda_star is eps (P1_six), no critical-avoiding pair (P1_three,
+        # P3_four), and a nonnegative lambda_star that both must reject.
+        from mpcsr import demo
+
+        for family_id in ("P1_six", "P1_three", "P2_six", "P3_four"):
+            yield build_family(family_id).ensemble()
+        yield dataclasses.replace(demo.ensemble(), lambda_star=0.0)
+
+
+def _k_max_values(ensemble):
+    # Windows ending on both sides of the repeat and of the lengths where
+    # the verdict changes.
+    values = {1, 2, 200}
+    try:
+        res = weak_csr_bound(ensemble, 200)
+    except AssumptionError:
+        return sorted(values)
+    if res.period is not None:
+        t, sigma = res.period
+        values |= {t - 1, t, t + sigma - 1, t + sigma}
+    for k in (res.k, res.first_k):
+        if k is not None:
+            values |= {k - 1, k, k + 1}
+    return sorted(v for v in values if v >= 1)
+
+
+@pytest.mark.parametrize("case_set", ["demo_variants", "gen_p0", "visualised", "branches"])
+def test_weak_bound_matches_full_scan(case_set):
+    seen = {"period": 0, "no_period": 0, "rejected": 0, "lam_none": 0, "no_pairs": 0}
+    for ens in _weak_cases(case_set):
+        for k_max in _k_max_values(ens):
+            try:
+                want = full_scan_weak_csr_bound(ens, k_max)
+            except AssumptionError:
+                with pytest.raises(AssumptionError):
+                    weak_csr_bound(ens, k_max)
+                seen["rejected"] += 1
+                continue
+            got = weak_csr_bound(ens, k_max)
+            assert dataclasses.replace(got, period=None) == want, (case_set, k_max)
+            seen["period" if got.period else "no_period"] += 1
+            seen["lam_none"] += ens.lambda_star is None
+            seen["no_pairs"] += got.finite_pairs == 0
+    if case_set == "branches":
+        assert seen["rejected"] and seen["lam_none"] and seen["no_pairs"]
+    else:
+        assert seen["period"]
+
+
+def _powers_until(a, k):
+    powers = [a]
+    while len(powers) < k:
+        powers.append(dense_multiply(powers[-1], a))
+    return [p.data for p in powers]
+
+
+def test_weak_bound_period_witness():
+    assert weak_csr_bound(_demo_variant("demo"), 200).period == (4, 2)
+    assert weak_csr_bound(_demo_variant("+0.1"), 200).period is None
+    # A window that ends before the repeat shows none.
+    assert weak_csr_bound(_demo_variant("demo"), 5).period is None
+    assert weak_csr_bound(_demo_variant("demo"), 6).period == (4, 2)
+    checked = 0
+    for ens in itertools.chain(_weak_cases("demo_variants"), _weak_cases("gen_p0")):
+        period = weak_csr_bound(ens, 200).period
+        if period is None:
+            continue
+        t, sigma = period
+        powers = _powers_until(ens.a_inf, t + sigma)
+        # a_inf^(T+sigma) is the first power equal to an earlier one, a_inf^T.
+        assert powers[t + sigma - 1] == powers[t - 1]
+        assert len(set(powers[: t + sigma - 1])) == t + sigma - 1
+        checked += 1
+    assert checked >= 10
 
 
 # -- ambient threshold -----------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,3 +216,15 @@ def test_output_file_option(tmp_path, capsys, demo_file):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["size"] == 8
+
+
+def test_cli_import_leaves_the_dataset_unloaded():
+    # Only paper-repro needs the bundled dataset, so importing the CLI must
+    # not load it.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, mpcsr.cli; print('mpcsr.demo' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

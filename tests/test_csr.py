@@ -62,6 +62,26 @@ def test_threshold_demo_structure():
     assert matrices_equal(mp_power(s, t), mp_power(s, t + 2))
 
 
+def test_component_thresholds_computed_once_per_ensemble(monkeypatch):
+    # The transients depend only on the critical graph: one search per
+    # component, however many words are checked on the ensemble.
+    import mpcsr.csr
+
+    calls = []
+
+    def counting(s, gamma):
+        calls.append(gamma)
+        return periodicity_threshold(s, gamma)
+
+    monkeypatch.setattr(mpcsr.csr, "periodicity_threshold", counting)
+    for family_id, components in (("P3_four", 3), ("P2_six", 1)):
+        calls.clear()
+        ens = build_family(family_id).ensemble()
+        for t in range(1, 5):
+            is_csr(ens, Word((1,) * t + (2,)))
+        assert len(calls) == ens.critical.component_count == components
+
+
 def test_threshold_rejects_wrong_period():
     s = structure_matrix(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
