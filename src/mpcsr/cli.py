@@ -121,6 +121,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.k_max < 1:
+        raise InputError(f"--k-max must be at least 1, got {args.k_max}")
     ens = _load_ensemble(args.input)
     try:
         ambient = ambient_csr_bound(ens)
@@ -220,6 +222,9 @@ def _cmd_counterexample(args) -> int:
         family = build_family(args.family)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    t_min = min(cls.t_min for cls in family.word_classes)
+    if args.t < t_min:
+        raise InputError(f"family {family.family_id} needs --t >= {t_min}, got {args.t}")
     report = verify_family(family, [args.t])
     classes = [
         {

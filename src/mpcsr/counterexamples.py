@@ -78,7 +78,15 @@ class Family:
     min_guaranteed_length: int
 
     def ensemble(self) -> Ensemble:
-        return build_ensemble(list(self.generators))
+        """The family's ensemble, built on the first call and kept on the instance.
+
+        The memo sits in ``__dict__``, as ``path_weights`` keeps its own on
+        the ensemble, so equality and ``repr`` ignore it.
+        """
+        cached = self.__dict__.get("_ensemble")
+        if cached is None:
+            cached = self.__dict__["_ensemble"] = build_ensemble(list(self.generators))
+        return cached
 
 
 def _m(rows) -> MaxPlusMatrix:

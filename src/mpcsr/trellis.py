@@ -13,6 +13,14 @@ of the critical set.  Ties between equally heavy walks are resolved toward
 the shorter one when lengths are reported.  Final walks are initial walks
 of the reversed word over the transposed generators, so one routine on the
 shared ``row_product`` kernel computes both.
+
+Both folds read the row-adjacency lists (``finite_rows``) of every
+generator and of its transpose, built once per ensemble and kept on it.
+``gamma_product`` also keeps the last word it folded with that word's
+product, so a CSR check followed by the first-passage weights of the same
+word folds it once.  Every memo is kept in the ensemble's ``__dict__``, as
+``path_weights`` is: equality and ``repr`` ignore it, and it lives and
+dies with its ensemble.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ensemble import Ensemble, path_weights
-from .semiring import MaxPlusMatrix, Scalar, finite_rows, mp_multiply, row_product
+from .semiring import MaxPlusMatrix, Scalar, finite_rows, row_product
 
 
 @dataclass(frozen=True)
@@ -83,14 +91,43 @@ class WalkLengthReport:
     v_bounds: tuple[Optional[float], ...]
 
 
+def _adjacency(ensemble: Ensemble) -> tuple[list, list]:
+    """``finite_rows`` of every visualised generator and of its transpose.
+
+    Built on the first call and kept on the ensemble instance.
+    """
+    cached = ensemble.__dict__.get("_adjacency")
+    if cached is None:
+        gens = ensemble.normalized
+        n = ensemble.size
+        cached = ensemble.__dict__["_adjacency"] = (
+            [finite_rows(g) for g in gens],
+            [finite_rows(MaxPlusMatrix(n, n, tuple(zip(*g.data)))) for g in gens],
+        )
+    return cached
+
+
 def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
-    """Product of the visualised generators in word order."""
+    """Product of the visualised generators in word order.
+
+    The word is folded left to right over plain row lists with
+    ``row_product``, which is what ``mp_multiply`` does letter by letter,
+    so the floats are the same.  The last word and its product are kept on
+    the ensemble; an equal word (by its letters) gets that product back.
+    """
+    last = ensemble.__dict__.get("_last_product")
+    if last is not None and last[0] == word.letters:
+        return last[1]
     word.validate(ensemble)
-    gens = ensemble.normalized
-    result = gens[word.letters[0] - 1]
+    rows_of = _adjacency(ensemble)[0]
+    n = ensemble.size
+    result: Sequence[Sequence[Scalar]] = ensemble.normalized[word.letters[0] - 1].data
     for letter in word.letters[1:]:
-        result = mp_multiply(result, gens[letter - 1])
-    return result
+        adjacency = rows_of[letter - 1]
+        result = [row_product(row, adjacency, n) for row in result]
+    product = MaxPlusMatrix(n, n, tuple(map(tuple, result)))
+    ensemble.__dict__["_last_product"] = (word.letters, product)
+    return product
 
 
 def first_passage_data(
@@ -108,11 +145,9 @@ def first_passage_data(
     a backward DP.
     """
     word.validate(ensemble)
-    gens = ensemble.normalized
     n = ensemble.size
     crit = ensemble.critical_nodes
-    rows = [finite_rows(g) for g in gens]
-    cols = [finite_rows(MaxPlusMatrix(n, n, tuple(zip(*g.data)))) for g in gens]
+    rows, cols = _adjacency(ensemble)
     w_star, w_len = _first_passage(rows, word.letters, crit, n)
     v_star, v_len = _first_passage(cols, word.letters[::-1], crit, n)
     return w_star, w_len, v_star, v_len

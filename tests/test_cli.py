@@ -101,6 +101,14 @@ def test_bounds_rejects_wrong_profile(capsys, tmp_path):
     assert "profile" in err
 
 
+@pytest.mark.parametrize("k_max", ["0", "-1", "-200"])
+def test_bounds_rejects_nonpositive_k_max(capsys, demo_file, k_max):
+    code, out, err = run(capsys, "bounds", demo_file, "--k-max", k_max)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --k-max must be at least 1, got {k_max}\n"
+
+
 def test_product_command(capsys, demo_file):
     word = ",".join(str(l) for l in demo.WORD.letters)
     code, out, _ = run(capsys, "product", demo_file, "--word", word)
@@ -189,6 +197,25 @@ def test_counterexample_two_cycle_family_at_first_parameter(capsys):
     code, out, _ = run(capsys, "counterexample", "--family", "P1_six", "--t", "1")
     assert code == 0
     assert json.loads(out)["all_ok"] is True
+
+
+@pytest.mark.parametrize(
+    "family_id, t, t_min",
+    [("P2_six", "0", 2), ("P2_six", "1", 2), ("P1_six", "-5", 1), ("P1_three", "-1", 0), ("P3_four", "1", 2)],
+)
+def test_counterexample_rejects_t_below_every_class(capsys, family_id, t, t_min):
+    # No class would be checked, so an empty report must not pass as verified.
+    code, out, err = run(capsys, "counterexample", "--family", family_id, "--t", t)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: family {family_id} needs --t >= {t_min}, got {t}\n"
+
+
+def test_counterexample_runs_at_the_smallest_admissible_t(capsys):
+    for family_id, t_min in (("P1_six", 1), ("P1_three", 0), ("P2_six", 2), ("P3_four", 2)):
+        code, out, _ = run(capsys, "counterexample", "--family", family_id, "--t", str(t_min))
+        assert code == 0
+        assert json.loads(out)["classes"]
 
 
 def test_paper_repro_manifest(capsys):

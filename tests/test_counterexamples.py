@@ -1,5 +1,6 @@
 import pytest
 
+from mpcsr import counterexamples
 from mpcsr.counterexamples import (
     FAMILY_IDS,
     build_family,
@@ -106,3 +107,30 @@ def test_two_cycle_family_verifies_at_its_first_parameter():
     assert (check.label, check.k, check.failed_csr) == ("even_length", 4, True)
     assert check.witness_details == ((1, 4, -301.0, -202.0, -301.0, -202.0),)
     assert is_csr(fam.ensemble(), fam.word_classes[1].word(1)).product.data[3][4] is None
+
+
+def test_family_ensemble_is_built_once(monkeypatch):
+    fam = build_family("P2_six")
+    calls = [0]
+    original = counterexamples.build_ensemble
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(counterexamples, "build_ensemble", counting)
+    first = verify_family(fam, [3])
+    second = verify_family(fam, [3])
+    assert calls[0] == 1
+    assert first == second
+    assert fam.ensemble() is fam.ensemble()
+    assert calls[0] == 1
+
+
+def test_family_equality_and_repr_ignore_the_memo():
+    fresh, used = build_family("P3_four"), build_family("P3_four")
+    used.ensemble()
+    assert "_ensemble" in vars(used) and "_ensemble" not in vars(fresh)
+    assert used == fresh
+    assert repr(used) == repr(fresh)
+    assert hash(used) == hash(fresh)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from mpcsr import demo
+from mpcsr import demo, trellis
 from mpcsr.counterexamples import FAMILY_IDS, build_family
+from mpcsr.csr import is_csr
 from mpcsr.ensemble import build_ensemble
 from mpcsr.semiring import MaxPlusMatrix, matrices_equal
 from mpcsr.trellis import (
@@ -17,6 +18,7 @@ from mpcsr.trellis import (
 from oracles import (
     bench_module,
     best_walk_matrix,
+    dense_multiply,
     enumerate_first_passage,
     mirrored_first_passage_data,
     random_matrix,
@@ -254,3 +256,115 @@ def test_first_passage_matches_mirrored_referee(case_set):
         assert first_passage_data(ens, word) == mirrored_first_passage_data(ens, word), word.letters
         cases += 1
     assert cases > 0
+
+
+# -- referee: a left fold of the dense product ---------------------------------
+
+
+def dense_fold(ensemble, word):
+    gens = ensemble.normalized
+    result = gens[word.letters[0] - 1]
+    for letter in word.letters[1:]:
+        result = dense_multiply(result, gens[letter - 1])
+    return result
+
+
+def _product_cases(case_set):
+    rng = random.Random(909)
+    if case_set == "demo_variants":
+        for transform in FLOAT_VARIANTS:
+            ens = _variant(demo.generators(), transform)
+            yield ens, demo.WORD
+            for length in (1, 2, 9, 30):
+                yield ens, random_word(rng, ens, length)
+    elif case_set == "families":
+        for family_id in FAMILY_IDS:
+            fam = build_family(family_id)
+            ens = fam.ensemble()
+            for cls in fam.word_classes:
+                for t in (cls.t_min, cls.t_min + 1, cls.t_min + 5, 10, 40):
+                    yield ens, cls.word(t)
+    else:
+        gen = bench_module("gen")
+        for n, gamma, density in ((12, 1, 0.5), (12, 3, 0.15), (24, 2, 0.15), (24, 4, 0.5)):
+            gens = [MaxPlusMatrix.from_rows(g) for g in gen.p0_generators(rng, n, gamma, density)]
+            ens = build_ensemble(gens)
+            for length in (1, 9, 96):
+                yield ens, random_word(rng, ens, length)
+
+
+@pytest.mark.parametrize("case_set", ["demo_variants", "families", "gen_p0"])
+def test_product_matches_dense_fold(case_set):
+    cases = 0
+    for ens, word in _product_cases(case_set):
+        assert gamma_product(ens, word) == dense_fold(ens, word), word.letters
+        cases += 1
+    assert cases > 0
+
+
+# -- memos on the ensemble -----------------------------------------------------
+
+
+def _count_row_products(monkeypatch):
+    calls = [0]
+    original = trellis.row_product
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(trellis, "row_product", counting)
+    return calls
+
+
+def test_csr_check_then_first_passage_folds_the_word_once(monkeypatch):
+    word = demo.WORD
+    calls = _count_row_products(monkeypatch)
+    first_passage_data(demo.ensemble(), word)
+    passage_only = calls[0]
+
+    ens = demo.ensemble()
+    check = is_csr(ens, word)
+    calls[0] = 0
+    tw = first_passage_weights(ens, word)
+    assert calls[0] == passage_only
+    assert tw.product is check.product
+
+
+def test_product_memo_holds_one_word():
+    ens = demo.ensemble()
+    rng = random.Random(5)
+    first, second = random_word(rng, ens, 12), random_word(rng, ens, 12)
+    assert first != second
+    hit = gamma_product(ens, first)
+    assert gamma_product(ens, first) is hit
+    other = gamma_product(ens, second)
+    assert other == dense_fold(ens, second)
+    assert other != hit
+    again = gamma_product(ens, first)
+    assert again == hit and again is not hit
+
+
+def test_equal_words_share_the_product_memo():
+    ens = demo.ensemble()
+    letters = list(demo.WORD.letters)
+    first = gamma_product(ens, Word(tuple(letters)))
+    assert gamma_product(ens, Word.parse(",".join(map(str, letters)))) is first
+
+
+def test_product_memo_ignores_an_invalid_word():
+    ens = demo.ensemble()
+    kept = gamma_product(ens, demo.WORD)
+    with pytest.raises(IndexError):
+        gamma_product(ens, Word((1, 99)))
+    assert gamma_product(ens, demo.WORD) is kept
+
+
+def test_ensemble_equality_and_repr_ignore_the_memos():
+    fresh, used = demo.ensemble(), demo.ensemble()
+    gamma_product(used, demo.WORD)
+    first_passage_data(used, demo.WORD)
+    assert {"_adjacency", "_last_product"} <= set(vars(used))
+    assert not {"_adjacency", "_last_product"} & set(vars(fresh))
+    assert used == fresh
+    assert repr(used) == repr(fresh)
