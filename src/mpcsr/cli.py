@@ -85,11 +85,18 @@ class InputError(Exception):
     pass
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(args, payload: dict) -> None:
     text = render_json(payload) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
     else:
         sys.stdout.write(text)
 
@@ -212,8 +219,7 @@ def _cmd_csr_check(args) -> int:
             "rank_bound": factors.rank_bound,
             "representatives": [list(r) for r in factors.representatives],
         }
-        with open(args.emit_factors, "w", encoding="utf-8") as fh:
-            fh.write(render_json(factor_payload) + "\n")
+        _write(args.emit_factors, render_json(factor_payload) + "\n")
     return 0 if check.equal else 1
 
 

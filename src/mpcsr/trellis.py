@@ -14,6 +14,17 @@ the shorter one when lengths are reported.  Final walks are initial walks
 of the reversed word over the transposed generators, so one routine on the
 shared ``row_product`` kernel computes both.
 
+The first-passage DP is a branch-and-bound one.  When every finite entry
+of the visualised generators is <= 0 (one flag per ensemble, which covers
+the transposes too), a walk can only lose weight as it goes on, so a
+partial walk no heavier than the best first passage found so far is
+dropped.  A start with no partial walk left is done, and the fold stops
+when every start is.  This is bit-exact on floats, not only on exact
+data: round-to-nearest is monotone, so fl(x + a) <= x for a <= 0, and a
+candidate grown from a dropped walk is never strictly heavier than the
+best, which is all that replaces it.  Without the flag nothing is dropped
+on weight.
+
 Both folds read the row-adjacency lists (``finite_rows``) of every
 generator and of its transpose, built once per ensemble and kept on it.
 ``gamma_product`` also keeps the last word it folded with that word's
@@ -91,8 +102,9 @@ class WalkLengthReport:
     v_bounds: tuple[Optional[float], ...]
 
 
-def _adjacency(ensemble: Ensemble) -> tuple[list, list]:
-    """``finite_rows`` of every visualised generator and of its transpose.
+def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool]:
+    """``finite_rows`` of every visualised generator and of its transpose,
+    and whether every finite entry is <= 0 (a transpose has the same ones).
 
     Built on the first call and kept on the ensemble instance.
     """
@@ -100,9 +112,11 @@ def _adjacency(ensemble: Ensemble) -> tuple[list, list]:
     if cached is None:
         gens = ensemble.normalized
         n = ensemble.size
+        rows = [finite_rows(g) for g in gens]
         cached = ensemble.__dict__["_adjacency"] = (
-            [finite_rows(g) for g in gens],
+            rows,
             [finite_rows(MaxPlusMatrix(n, n, tuple(zip(*g.data)))) for g in gens],
+            all(v <= 0 for adjacency in rows for row in adjacency for _, v in row),
         )
     return cached
 
@@ -147,14 +161,14 @@ def first_passage_data(
     word.validate(ensemble)
     n = ensemble.size
     crit = ensemble.critical_nodes
-    rows, cols = _adjacency(ensemble)
-    w_star, w_len = _first_passage(rows, word.letters, crit, n)
-    v_star, v_len = _first_passage(cols, word.letters[::-1], crit, n)
+    rows, cols, nonpositive = _adjacency(ensemble)
+    w_star, w_len = _first_passage(rows, word.letters, crit, n, nonpositive)
+    v_star, v_len = _first_passage(cols, word.letters[::-1], crit, n, nonpositive)
     return w_star, w_len, v_star, v_len
 
 
 def _first_passage(
-    rows_of: Sequence[list], letters: Sequence[int], crit: frozenset[int], n: int
+    rows_of: Sequence[list], letters: Sequence[int], crit: frozenset[int], n: int, prune: bool
 ) -> tuple[tuple[Scalar, ...], tuple[Optional[int], ...]]:
     """Best weight and shortest optimal length of walks into the critical set.
 
@@ -163,19 +177,37 @@ def _first_passage(
     extends it by one row product and offers its critical columns as
     candidates; only a strictly heavier one replaces the best, so the
     length is the first stage that attains the best weight.
+
+    With ``prune`` (every finite weight <= 0) an entry x <= ``best[i]`` is
+    dropped after the stage's candidate update.  Monotone rounding gives
+    fl(x + a) <= x for a <= 0, so every extension of x weighs at most
+    ``best[i]`` and never replaces it.  A surviving entry's maximum came
+    from surviving entries only (the dropped ones give at most
+    ``best[i]``), so it keeps its exact float, and w*, the lengths and the
+    first-maximum tie rule are those of the full DP.  A start whose row has
+    no finite entry left is done, and the fold stops when none is left.
     """
     best: list[Scalar] = [0.0 if i in crit else None for i in range(n)]
     length: list[Optional[int]] = [0 if i in crit else None for i in range(n)]
     crit_sorted = sorted(crit)
     reach = {i: [0.0 if x == i else None for x in range(n)] for i in range(n) if i not in crit}
     for step, letter in enumerate(letters, start=1):
+        if not reach:
+            break
+        adjacency = rows_of[letter - 1]
+        carried = {}
         for i, row in reach.items():
-            out = row_product(row, rows_of[letter - 1], n)
+            out = row_product(row, adjacency, n)
             w = _pop_critical(out, crit_sorted)
             if w is not None and (best[i] is None or w > best[i]):
                 best[i] = w
                 length[i] = step
-            reach[i] = out
+            bound = best[i]
+            if prune and bound is not None:
+                out = [None if x is None or x <= bound else x for x in out]
+            if out.count(None) < n:
+                carried[i] = out
+        reach = carried
     return tuple(best), tuple(length)
 
 

@@ -245,6 +245,28 @@ def test_output_file_option(tmp_path, capsys, demo_file):
     assert json.loads(target.read_text())["size"] == 8
 
 
+def test_output_to_a_missing_directory_exits_two(tmp_path, capsys, demo_file):
+    target = tmp_path / "missing" / "x.json"
+    word = ",".join(str(l) for l in demo.WORD.letters)
+    code, out, err = run(capsys, "product", demo_file, "--word", word, "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
+def test_factors_to_a_missing_directory_exits_two(tmp_path, capsys, demo_file):
+    target = tmp_path / "missing" / "x.json"
+    word = ",".join(str(l) for l in demo.WORD.letters)
+    code, out, err = run(
+        capsys, "csr-check", demo_file, "--word", word, "--emit-factors", str(target)
+    )
+    assert code == 2
+    assert json.loads(out)["equal"] is True
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_cli_import_leaves_the_dataset_unloaded():
     # Only paper-repro needs the bundled dataset, so importing the CLI must
     # not load it.

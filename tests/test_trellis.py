@@ -243,7 +243,7 @@ def _first_passage_cases(case_set):
             gens = [MaxPlusMatrix.from_rows(g) for g in gen.p0_generators(rng, n, gamma, density)]
             for transform in FLOAT_VARIANTS:
                 ens = _variant(gens, transform)
-                for length in (1, 9, 30):
+                for length in (1, 9, 30, 96, 200):
                     yield ens, random_word(rng, ens, length)
 
 
@@ -368,3 +368,46 @@ def test_ensemble_equality_and_repr_ignore_the_memos():
     assert not {"_adjacency", "_last_product"} & set(vars(fresh))
     assert used == fresh
     assert repr(used) == repr(fresh)
+
+
+# -- pruned first passage --------------------------------------------------------
+
+
+def _full_dp_row_products(ens, word):
+    # The unpruned DP extends one row per noncritical start, per letter, per direction.
+    return 2 * len(word) * (ens.size - len(ens.critical_nodes))
+
+
+def test_first_passage_prunes_on_nonpositive_generators(monkeypatch):
+    gen = bench_module("gen")
+    rng = random.Random(31)
+    ens = build_ensemble([MaxPlusMatrix.from_rows(g) for g in gen.p0_generators(rng, 24, 2, 0.15)])
+    word = random_word(rng, ens, 200)
+    assert trellis._adjacency(ens)[2]
+    calls = _count_row_products(monkeypatch)
+    first_passage_data(ens, word)
+    assert 0 < calls[0] <= _full_dp_row_products(ens, word) // 10
+
+
+def _chain_generator(to_chain, from_chain):
+    # A 0-loop at node 0, linked to a chain 1..4 with a loop at every node.
+    rows = [[None] * 5 for _ in range(5)]
+    rows[0][0], rows[0][1], rows[1][0] = 0.0, to_chain, from_chain
+    for v in range(1, 5):
+        rows[v][v] = -1.0
+        if v < 4:
+            rows[v][v + 1], rows[v + 1][v] = 2.0, -4.0
+    return MaxPlusMatrix.from_rows(rows)
+
+
+def test_first_passage_keeps_every_walk_on_a_positive_entry(monkeypatch):
+    # The supremum has cycle mean 3, so the generators are left unvisualised
+    # and keep their positive entries: nothing may be pruned, and the loops
+    # keep every start's row finite.
+    ens = build_ensemble([_chain_generator(3.0, -5.0), _chain_generator(-5.0, 3.0)])
+    assert any(v is not None and v > 0 for g in ens.normalized for row in g.data for v in row)
+    word = random_word(random.Random(8), ens, 50)
+    calls = _count_row_products(monkeypatch)
+    result = first_passage_data(ens, word)
+    assert calls[0] == _full_dp_row_products(ens, word)
+    assert result == mirrored_first_passage_data(ens, word)
