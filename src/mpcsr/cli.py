@@ -22,7 +22,7 @@ from .bounds import AssumptionError, ambient_csr_bound, weak_csr_bound
 from .counterexamples import FAMILY_IDS, build_family, verify_family
 from .csr import is_csr, rank_compress
 from .ensemble import Ensemble, EnsembleError, build_ensemble
-from .semiring import MaxPlusMatrix, ShapeError, mp_power
+from .semiring import DivergenceError, MaxPlusMatrix, ShapeError, mp_power
 from .trellis import Word, first_passage_weights
 
 def _render_string(s: str) -> str:
@@ -134,7 +134,7 @@ def _cmd_bounds(args) -> int:
     try:
         ambient = ambient_csr_bound(ens)
         weak = weak_csr_bound(ens, args.k_max)
-    except AssumptionError as exc:
+    except (AssumptionError, DivergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     payload = {

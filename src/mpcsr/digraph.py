@@ -4,6 +4,11 @@ Covers the graph side of the toolkit: strongly connected components,
 maximum cycle mean (Karp's dynamic program), the critical digraph with its
 components, cyclicities and cyclic classes, and the cyclicity of the
 ambient digraph.  Nodes are 0-based throughout.
+
+A square matrix is its own digraph, with edge (i, j) where entry (i, j) is
+finite: the cycle-mean, irreducibility and critical routines take it and
+walk its ``finite_rows`` in row-major order.  Tarjan's algorithm takes
+successor lists, the cyclicity routines a ``(nodes, edges)`` pair.
 """
 
 from __future__ import annotations
@@ -12,51 +17,25 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .semiring import TOL, MaxPlusMatrix, metric_matrix
-
-Edge = tuple[int, int, float]
+from .semiring import TOL, MaxPlusMatrix, _star, finite_rows, mp_multiply
 
 
-@dataclass(frozen=True)
-class WeightedDigraph:
-    """Digraph with one weighted edge per ordered node pair at most."""
-
-    node_count: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        seen = set()
-        for u, v, _ in self.edges:
-            if not (0 <= u < self.node_count and 0 <= v < self.node_count):
-                raise ValueError(f"edge ({u}, {v}) leaves the node range 0..{self.node_count - 1}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-
-    @classmethod
-    def from_matrix(cls, m: MaxPlusMatrix) -> "WeightedDigraph":
-        """Edge (i, j) exists exactly where the matrix entry is finite."""
-        if not m.is_square:
-            raise ValueError("an associated digraph needs a square matrix")
-        edges = tuple(
-            (i, j, m.data[i][j])
-            for i in range(m.rows)
-            for j in range(m.cols)
-            if m.data[i][j] is not None
-        )
-        return cls(m.rows, edges)
-
-    def successors(self) -> list[list[tuple[int, float]]]:
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(self.node_count)]
-        for u, v, w in self.edges:
-            adj[u].append((v, w))
-        return adj
+def _weighted_successors(a: MaxPlusMatrix) -> list[list[tuple[int, float]]]:
+    if not a.is_square:
+        raise ValueError(f"an associated digraph needs a square matrix, got {a.rows}x{a.cols}")
+    return finite_rows(a)
 
 
-def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
-    """Tarjan's algorithm, iterative; components sorted by smallest node."""
-    n = g.node_count
-    adj = [[v for v, _ in row] for row in g.successors()]
+def _targets(rows: Sequence[Sequence[tuple[int, float]]]) -> list[list[int]]:
+    return [[v for v, _ in row] for row in rows]
+
+
+def strongly_connected_components(successors: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Tarjan's algorithm, iterative; components sorted by smallest node.
+
+    ``successors[v]`` lists the heads of the edges leaving node v.
+    """
+    n = len(successors)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -76,8 +55,8 @@ def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            for pos in range(ptr, len(adj[v])):
-                w = adj[v][pos]
+            for pos in range(ptr, len(successors[v])):
+                w = successors[v][pos]
                 if index[w] == -1:
                     work[-1] = (v, pos + 1)
                     work.append((w, 0))
@@ -104,30 +83,29 @@ def strongly_connected_components(g: WeightedDigraph) -> list[list[int]]:
     return components
 
 
-def is_irreducible(g: WeightedDigraph) -> bool:
+def is_irreducible(a: MaxPlusMatrix) -> bool:
     """True when one strongly connected component spans every node."""
-    comps = strongly_connected_components(g)
-    return len(comps) == 1 and len(comps[0]) == g.node_count
+    return len(strongly_connected_components(_targets(_weighted_successors(a)))) == 1
 
 
 def _nontrivial(component: list[int], edge_set: set[tuple[int, int]]) -> bool:
     return len(component) > 1 or (component[0], component[0]) in edge_set
 
 
-def max_cycle_mean(g: WeightedDigraph) -> Optional[float]:
+def max_cycle_mean(a: MaxPlusMatrix) -> Optional[float]:
     """Largest mean weight over all cycles; None (eps) for an acyclic digraph.
 
     Karp's dynamic program is run separately inside each strongly connected
     component, and the maximum over components is returned.
     """
-    edge_set = {(u, v) for u, v, _ in g.edges}
+    rows = _weighted_successors(a)
     best: Optional[float] = None
-    for comp in strongly_connected_components(g):
-        if not _nontrivial(comp, edge_set):
+    for comp in strongly_connected_components(_targets(rows)):
+        if len(comp) == 1 and a.data[comp[0]][comp[0]] is None:
             continue
         pos = {v: i for i, v in enumerate(comp)}
         m = len(comp)
-        local_edges = [(pos[u], pos[v], w) for u, v, w in g.edges if u in pos and v in pos]
+        local_edges = [(pos[u], pos[v], w) for u in comp for v, w in rows[u] if v in pos]
         # walk_best[k][v]: best weight of a length-k walk from comp[0] to v
         walk_best: list[list[Optional[float]]] = [[None] * m for _ in range(m + 1)]
         walk_best[0][0] = 0.0
@@ -164,23 +142,25 @@ def cyclicity(nodes: Iterable[int], edges: Sequence[tuple[int, int]]) -> int:
     obtained as the gcd of level(u) + 1 - level(v) over edges (u, v) of a
     BFS levelling; across components the lcm is taken.
     """
-    node_list = sorted(set(nodes))
+    members = set(nodes)
     if not edges:
         raise ValueError("cyclicity is undefined without edges")
-    g = WeightedDigraph(max(node_list) + 1, tuple((u, v, 0.0) for u, v in dict.fromkeys(edges)))
-    edge_set = {(u, v) for u, v in edges}
-    result = 1
-    found_cycle = False
-    for comp in strongly_connected_components(g):
-        if not set(comp) <= set(node_list):
-            continue
-        if not _nontrivial(comp, edge_set):
-            continue
-        found_cycle = True
-        result = math.lcm(result, _scc_gcd(comp, edge_set))
-    if not found_cycle:
+    top = max(members)
+    successors: list[list[int]] = [[] for _ in range(top + 1)]
+    for u, v in edges:
+        if not (0 <= u <= top and 0 <= v <= top):
+            raise ValueError(f"edge ({u}, {v}) leaves the node range 0..{top}")
+        successors[u].append(v)
+    comps = [c for c in strongly_connected_components(successors) if set(c) <= members]
+    return _components_cyclicity(comps, set(edges))
+
+
+def _components_cyclicity(components: list[list[int]], edge_set: set[tuple[int, int]]) -> int:
+    """lcm of the cyclicities of the components that carry a cycle."""
+    cyclic = [comp for comp in components if _nontrivial(comp, edge_set)]
+    if not cyclic:
         raise ValueError("cyclicity is undefined: the digraph has no cycles")
-    return result
+    return math.lcm(*(_scc_gcd(comp, edge_set) for comp in cyclic))
 
 
 def _scc_gcd(component: list[int], edge_set: set[tuple[int, int]]) -> int:
@@ -282,37 +262,35 @@ class CriticalStructure:
         }
 
 
-def critical_graph(g: WeightedDigraph, lam: float, tol: float = TOL) -> CriticalStructure:
-    """Critical nodes, edges, components and cyclic classes of a digraph.
+def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
+    """Critical nodes, edges, components and cyclic classes of a matrix's digraph.
 
     After normalising all weights by -lam, a node is critical exactly when
     the metric matrix has a zero diagonal entry there, and an edge (i, j) is
     critical exactly when a_ij plus the optimal return weight j -> i is zero.
+    ``lam`` must be the matrix's own maximum cycle mean, so the normalised
+    matrix has cycle mean zero and its star needs no convergence check.
     """
+    rows = _weighted_successors(a)
     if lam is None or not math.isfinite(lam):
         raise ValueError("critical structure needs a finite maximum cycle mean")
-    n = g.node_count
-    grid: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
-    for u, v, w in g.edges:
-        grid[u][v] = w - lam
-    normalized = MaxPlusMatrix.from_rows(grid)
-    plus = metric_matrix(normalized)
+    n = a.rows
+    normalized = a.shift(-lam)
+    plus = mp_multiply(normalized, _star(normalized)).data
 
-    crit_nodes = frozenset(
-        i for i in range(n) if plus.data[i][i] is not None and plus.data[i][i] >= -tol
-    )
+    crit_nodes = frozenset(i for i in range(n) if plus[i][i] is not None and plus[i][i] >= -TOL)
     crit_edges = frozenset(
         (u, v)
-        for u in range(n)
-        for v in range(n)
-        if grid[u][v] is not None
-        and plus.data[v][u] is not None
-        and grid[u][v] + plus.data[v][u] >= -tol
+        for u, row in enumerate(finite_rows(normalized))
+        for v, w in row
+        if plus[v][u] is not None and w + plus[v][u] >= -TOL
     )
 
     components = []
-    sub = WeightedDigraph(n, tuple((u, v, 0.0) for u, v in sorted(crit_edges)))
-    for comp in strongly_connected_components(sub):
+    crit_successors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in sorted(crit_edges):
+        crit_successors[u].append(v)
+    for comp in strongly_connected_components(crit_successors):
         comp_nodes = [v for v in comp if v in crit_nodes]
         if not comp_nodes or not _nontrivial(comp_nodes, set(crit_edges)):
             continue
@@ -326,13 +304,13 @@ def critical_graph(g: WeightedDigraph, lam: float, tol: float = TOL) -> Critical
     for c in components:
         global_gamma = math.lcm(global_gamma, c.cyclicity)
 
-    full_edges = [(u, v) for u, v, _ in g.edges]
-    ambient = cyclicity(range(n), full_edges)
+    # One SCC pass gives both the ambient cyclicity and irreducibility.
+    full_edges = {(u, v) for u, row in enumerate(rows) for v, _ in row}
+    ambient_comps = strongly_connected_components(_targets(rows))
+    ambient = _components_cyclicity(ambient_comps, full_edges)
     ambient_classes = None
-    if is_irreducible(g):
-        ambient_classes = {
-            v: lvl % ambient for v, lvl in _bfs_levels(list(range(n)), set(full_edges)).items()
-        }
+    if len(ambient_comps) == 1:
+        ambient_classes = {v: lvl % ambient for v, lvl in _bfs_levels(list(range(n)), full_edges).items()}
     return CriticalStructure(
         lam=lam,
         critical_nodes=crit_nodes,

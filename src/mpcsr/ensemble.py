@@ -11,23 +11,26 @@ supremum with critical rows and columns removed, and its cycle mean.
 The working assumptions are reported, not enforced: construction only
 aborts on structural impossibilities (shape mismatch, a generator without
 cycles, or a node that cannot reach the critical set while a rescaling is
-required).
+required) and on float overflow to a cycle mean or visualised entry that
+is not finite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from math import isfinite
+from typing import Iterable, Optional, Sequence
 
-from .digraph import CriticalStructure, WeightedDigraph, critical_graph, is_irreducible, max_cycle_mean
+from .digraph import CriticalStructure, critical_graph, max_cycle_mean
 from .semiring import (
     TOL,
     MaxPlusMatrix,
     Scalar,
+    _star,
     entrywise_inf,
     entrywise_sup,
     kleene_star,
-    metric_matrix,
+    mp_multiply,
     mp_power,
 )
 
@@ -112,20 +115,33 @@ class PathWeights:
     v_inf: tuple[Scalar, ...]
 
 
-def _is_visualised(mats: Sequence[MaxPlusMatrix], crit: CriticalStructure, tol: float) -> bool:
+def _is_visualised(mats: Sequence[MaxPlusMatrix], crit: CriticalStructure) -> bool:
     for m in mats:
         for i, row in enumerate(m.data):
             for j, v in enumerate(row):
                 if v is None:
                     continue
-                if v > tol:
+                if v > TOL:
                     return False
-                if (i, j) in crit.critical_edges and abs(v) > tol:
+                if (i, j) in crit.critical_edges and abs(v) > TOL:
                     return False
     return True
 
 
-def build_ensemble(generators: Sequence[MaxPlusMatrix], tol: float = TOL) -> Ensemble:
+def _top(values: Iterable[Scalar]) -> Scalar:
+    """The first largest finite value; eps when none is finite."""
+    return max((v for v in values if v is not None), default=None)
+
+
+def _cycle_mean(m: MaxPlusMatrix, what: str) -> Optional[float]:
+    """Karp's cycle mean of ``m``, rejected when float overflow made it infinite or NaN."""
+    lam = max_cycle_mean(m)
+    if lam is not None and not isfinite(lam):
+        raise EnsembleError(f"{what} has cycle mean {lam}: its weights overflow floating point")
+    return lam
+
+
+def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
     """Normalise, visualise and analyse a family of generators."""
     if not generators:
         raise EnsembleError("an ensemble needs at least one generator")
@@ -138,25 +154,21 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix], tol: float = TOL) -> Ens
 
     normalized = []
     for idx, g in enumerate(generators):
-        lam = max_cycle_mean(WeightedDigraph.from_matrix(g))
+        lam = _cycle_mean(g, f"generator {idx}")
         if lam is None:
             raise EnsembleError(f"generator {idx} has no cycles; its cycle mean is eps")
         normalized.append(g.shift(-lam))
 
     a_sup0 = entrywise_sup(normalized)
-    lam_sup0 = max_cycle_mean(WeightedDigraph.from_matrix(a_sup0))
-    crit0 = critical_graph(WeightedDigraph.from_matrix(a_sup0), lam_sup0, tol)
+    lam_sup0 = _cycle_mean(a_sup0, "the normalised supremum")
+    crit0 = critical_graph(a_sup0, lam_sup0)
 
     x = (0.0,) * n
-    if abs(lam_sup0) <= tol and not _is_visualised(normalized + [a_sup0], crit0, tol):
-        star = kleene_star(a_sup0)
+    if abs(lam_sup0) <= TOL and not _is_visualised(normalized + [a_sup0], crit0):
+        star = _star(a_sup0)
         scaled = []
         for i in range(n):
-            best = None
-            for c in sorted(crit0.critical_nodes):
-                v = star.data[i][c]
-                if v is not None and (best is None or v > best):
-                    best = v
+            best = _top(star.data[i][c] for c in sorted(crit0.critical_nodes))
             if best is None:
                 raise EnsembleError(
                     f"node {i} cannot reach the critical set; no finite visualisation exists"
@@ -166,16 +178,18 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix], tol: float = TOL) -> Ens
         normalized = [m.diagonal_similarity(x) for m in normalized]
 
     visualised = tuple(normalized)
+    if any(v is not None and not isfinite(v) for m in visualised for row in m.data for v in row):
+        raise EnsembleError("visualised entries overflow floating point")
     a_sup = entrywise_sup(visualised)
     a_inf = entrywise_inf(visualised)
-    lam_sup = max_cycle_mean(WeightedDigraph.from_matrix(a_sup))
-    crit = critical_graph(WeightedDigraph.from_matrix(a_sup), lam_sup, tol)
+    lam_sup = _cycle_mean(a_sup, "the supremum")
+    crit = critical_graph(a_sup, lam_sup)
 
     noncritical = [i for i in range(n) if i not in crit.critical_nodes]
     b_sup = a_sup.mask(noncritical) if noncritical else MaxPlusMatrix.epsilon(n, n)
-    lambda_star = max_cycle_mean(WeightedDigraph.from_matrix(b_sup))
+    lambda_star = _cycle_mean(b_sup, "the noncritical supremum")
 
-    report = _assess(visualised, a_sup, a_inf, lam_sup, crit, tol)
+    report = _assess(visualised, a_sup, a_inf, lam_sup, crit)
     return Ensemble(
         generators=tuple(generators),
         normalized=visualised,
@@ -195,20 +209,19 @@ def _assess(
     a_inf: MaxPlusMatrix,
     lam_sup: float,
     crit: CriticalStructure,
-    tol: float,
 ) -> AssumptionReport:
     notes: list[str] = []
 
-    irU = all(is_irreducible(WeightedDigraph.from_matrix(m)) for m in mats)
+    crits = [critical_graph(m, _cycle_mean(m, f"visualised generator {idx}")) for idx, m in enumerate(mats)]
+    # critical_graph sets ambient classes exactly when the digraph is irreducible.
+    irU = all(crit_m.ambient_class_of is not None for crit_m in crits)
     if not irU:
         notes.append("some generator is not irreducible")
 
     sup_support = a_sup.support()
     same_support = all(m.support() == sup_support for m in mats)
     same_critical = True
-    for idx, m in enumerate(mats):
-        lam_m = max_cycle_mean(WeightedDigraph.from_matrix(m))
-        crit_m = critical_graph(WeightedDigraph.from_matrix(m), lam_m, tol)
+    for idx, crit_m in enumerate(crits):
         if crit_m.critical_edges != crit.critical_edges or crit_m.critical_nodes != crit.critical_nodes:
             same_critical = False
             notes.append(f"generator {idx} has a different critical digraph")
@@ -220,11 +233,11 @@ def _assess(
     if not inf_equiv:
         notes.append("the entrywise infimum loses edges of the common digraph")
 
-    d1 = abs(lam_sup) <= tol
+    d1 = abs(lam_sup) <= TOL
     if not d1:
         notes.append(f"supremum matrix has cycle mean {lam_sup}, not zero")
 
-    d2 = _is_visualised(list(mats) + [a_sup], crit, tol)
+    d2 = _is_visualised(list(mats) + [a_sup], crit)
     if not d2:
         notes.append("the family is not visualised: critical entries must be zero, others nonpositive")
 
@@ -274,31 +287,17 @@ def path_weights(ensemble: Ensemble) -> PathWeights:
 
 def _compute_path_weights(ensemble: Ensemble) -> PathWeights:
     crit_nodes = sorted(ensemble.critical_nodes)
+    # a_inf and b_sup lie entrywise below a_sup, so the convergence check of
+    # the checked star on a_sup covers their stars too.
     star_sup = kleene_star(ensemble.a_sup)
-    star_inf = kleene_star(ensemble.a_inf)
-
-    def col_max(star: MaxPlusMatrix, i: int) -> Scalar:
-        best = None
-        for c in crit_nodes:
-            v = star.data[i][c]
-            if v is not None and (best is None or v > best):
-                best = v
-        return best
-
-    def row_max(star: MaxPlusMatrix, j: int) -> Scalar:
-        best = None
-        for c in crit_nodes:
-            v = star.data[c][j]
-            if v is not None and (best is None or v > best):
-                best = v
-        return best
+    star_inf = _star(ensemble.a_inf)
 
     n = ensemble.size
-    alpha = tuple(col_max(star_sup, i) for i in range(n))
-    beta = tuple(row_max(star_sup, j) for j in range(n))
-    w_inf = tuple(col_max(star_inf, i) for i in range(n))
-    v_inf = tuple(row_max(star_inf, j) for j in range(n))
-    gamma_avoid = metric_matrix(ensemble.b_sup)
+    alpha = tuple(_top(star_sup.data[i][c] for c in crit_nodes) for i in range(n))
+    beta = tuple(_top(star_sup.data[c][j] for c in crit_nodes) for j in range(n))
+    w_inf = tuple(_top(star_inf.data[i][c] for c in crit_nodes) for i in range(n))
+    v_inf = tuple(_top(star_inf.data[c][j] for c in crit_nodes) for j in range(n))
+    gamma_avoid = mp_multiply(ensemble.b_sup, _star(ensemble.b_sup))
     return PathWeights(alpha=alpha, beta=beta, gamma_avoid=gamma_avoid, w_inf=w_inf, v_inf=v_inf)
 
 

@@ -293,21 +293,27 @@ def entrywise_inf(mats: Sequence[MaxPlusMatrix]) -> MaxPlusMatrix:
     return MaxPlusMatrix(first.rows, first.cols, tuple(out))
 
 
-def _check_convergent(a: MaxPlusMatrix) -> None:
-    # Local import: the cycle-mean routine lives with the digraph analytics
-    # and itself has no dependency on star computations.
-    from .digraph import WeightedDigraph, max_cycle_mean
-
-    lam = max_cycle_mean(WeightedDigraph.from_matrix(a))
-    if lam is not None and lam > TOL:
-        raise DivergenceError(f"maximum cycle mean {lam} is positive; the star series diverges")
-
-
 def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
     """I (+) a (+) a^2 (+) ... , truncated exactly at the (n-1)th power.
 
     Requires a nonpositive maximum cycle mean; then optimal walks shed their
-    cycles, so walks of length at most n-1 realise every star entry.
+    cycles, so walks of length at most n-1 realise every star entry.  Raises
+    ``DivergenceError`` when Karp's cycle mean exceeds ``TOL``.
+    """
+    if not a.is_square:
+        raise ShapeError("star needs a square matrix")
+    # Local import: the cycle-mean routine lives with the digraph analytics,
+    # which builds on this module.
+    from .digraph import max_cycle_mean
+
+    lam = max_cycle_mean(a)
+    if lam is not None and lam > TOL:
+        raise DivergenceError(f"maximum cycle mean {lam} is positive; the star series diverges")
+    return _star(a)
+
+
+def _star(a: MaxPlusMatrix) -> MaxPlusMatrix:
+    """The star of a square matrix whose cycle mean the caller knows is nonpositive.
 
     Each row is a frontier relaxation from its source on the row-adjacency
     lists of ``a``: round r extends, by one edge, only the nodes whose value
@@ -319,9 +325,6 @@ def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
     powers sum it; float addition is monotone, so the maximum over these
     sums is the same float as the power series gives, on any input.
     """
-    if not a.is_square:
-        raise ShapeError("star needs a square matrix")
-    _check_convergent(a)
     n = a.rows
     adjacency = finite_rows(a)
     out = []

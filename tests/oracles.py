@@ -368,6 +368,11 @@ def full_scan_weak_csr_bound(ensemble: Ensemble, k_max: int):
 # -- cycles ----------------------------------------------------------------
 
 
+def edges_of(m: MaxPlusMatrix) -> list[tuple[int, int, float]]:
+    """Weighted edges (i, j, m_ij) of a matrix's digraph, in row-major order."""
+    return [(i, j, v) for i, row in enumerate(m.data) for j, v in enumerate(row) if v is not None]
+
+
 def simple_cycle_means(n: int, edges: Sequence[tuple[int, int, float]]) -> list[float]:
     """Mean weights of all simple cycles, each listed once."""
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]

@@ -78,6 +78,41 @@ def test_analyze_rejects_non_finite_and_non_numeric_entries(capsys, tmp_path, en
     assert "matrix entries must be" in err
 
 
+@pytest.mark.parametrize(
+    "generators, message",
+    [
+        (
+            [[[0, 1e308, None], [None, None, -1e308], [-1e308, None, None]]],
+            "visualised entries overflow floating point",
+        ),
+        (
+            [[[1e308, 1e308], [1e308, 1e308]]] * 2,
+            "generator 0 has cycle mean inf: its weights overflow floating point",
+        ),
+    ],
+    ids=["visualised-entry", "cycle-mean"],
+)
+def test_analyze_rejects_weights_that_overflow(capsys, tmp_path, generators, message):
+    path = tmp_path / "overflow.json"
+    n = len(generators[0])
+    path.write_text(json.dumps({"generators": [{"rows": n, "cols": n, "entries": g} for g in generators]}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_analyze_float_generator_with_rounded_cycle_mean(capsys, tmp_path):
+    # Normalising by Karp's cycle mean leaves float dirt (about 2.5e-9 here);
+    # the critical star must not take it for a positive cycle mean.
+    entries = [[None, 70227174.8, None], [-33280550.2, -23390249.5, 12849541.4], [95876118.2, None, None]]
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps({"generators": [{"rows": 3, "cols": 3, "entries": entries}]}))
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["critical"]["critical_nodes"] == [0, 1, 2]
+
+
 def test_bounds_output(capsys, demo_file):
     code, out, _ = run(capsys, "bounds", demo_file)
     assert code == 0
@@ -99,6 +134,17 @@ def test_bounds_rejects_wrong_profile(capsys, tmp_path):
     code, _, err = run(capsys, "bounds", str(path))
     assert code == 2
     assert "profile" in err
+
+
+def test_bounds_rejects_a_divergent_supremum(capsys, tmp_path):
+    # Each generator has cycle mean 0, but their supremum has cycle mean 5.
+    gens = [[[None, -5], [5, None]], [[None, 5], [-5, None]]]
+    path = tmp_path / "divergent.json"
+    path.write_text(json.dumps({"generators": [{"rows": 2, "cols": 2, "entries": g} for g in gens]}))
+    code, out, err = run(capsys, "bounds", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: maximum cycle mean 5.0 is positive; the star series diverges\n"
 
 
 @pytest.mark.parametrize("k_max", ["0", "-1", "-200"])

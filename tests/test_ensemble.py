@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -65,12 +66,10 @@ def test_rescaling_vector_is_a_subeigenvector():
     x = ens.visualisation_vector
     assert any(v != 0.0 for v in x)
     # The vector scales the normalised supremum below itself.
-    from mpcsr.digraph import WeightedDigraph, max_cycle_mean
+    from mpcsr.digraph import max_cycle_mean
     from mpcsr.semiring import entrywise_sup
 
-    normalized = [
-        g.shift(-max_cycle_mean(WeightedDigraph.from_matrix(g))) for g in ens.generators
-    ]
+    normalized = [g.shift(-max_cycle_mean(g)) for g in ens.generators]
     sup0 = entrywise_sup(normalized)
     for i in range(3):
         for j in range(3):
@@ -227,3 +226,29 @@ def test_path_weights_memo_is_per_instance():
     other = path_weights(twin)
     assert other is not first
     assert other == first
+
+
+def test_demo_build_runs_one_checked_star(monkeypatch):
+    # Every star inside the build and the path weights runs on a matrix whose
+    # cycle mean is known to be nonpositive, except the one checked star on
+    # the supremum; cycle means and components are not recomputed for it.
+    from mpcsr import demo
+
+    calls = {"max_cycle_mean": 0, "kleene_star": 0, "strongly_connected_components": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    generators = demo.generators()
+    for name in calls:
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "mpcsr" and hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
+    path_weights(build_ensemble(generators))
+    assert calls["kleene_star"] == 1
+    assert calls["max_cycle_mean"] <= 14
+    assert calls["strongly_connected_components"] <= 35

@@ -24,6 +24,7 @@ from oracles import (
     best_walk_matrix,
     dense_multiply,
     dp_walk_matrix,
+    edges_of,
     nodes_on_max_mean_cycles,
     power_series_star,
     random_matrix,
@@ -170,14 +171,13 @@ def test_metric_diagonal_zero_iff_on_max_mean_cycle():
     for _ in range(40):
         n = rng.randint(2, 6)
         m = random_matrix(rng, n, density=0.5, lo=-9, hi=0)
-        from mpcsr.digraph import WeightedDigraph, max_cycle_mean
+        from mpcsr.digraph import max_cycle_mean
 
-        g = WeightedDigraph.from_matrix(m)
-        lam = max_cycle_mean(g)
+        lam = max_cycle_mean(m)
         if lam is None:
             continue
         plus = metric_matrix(m.shift(-lam))
-        critical = nodes_on_max_mean_cycles(n, g.edges)
+        critical = nodes_on_max_mean_cycles(n, edges_of(m))
         derived = {i for i in range(n) if plus.data[i][i] is not None and plus.data[i][i] >= -1e-9}
         assert derived == critical
 
@@ -244,11 +244,11 @@ def _scaled(grid, factor):
 @st.composite
 def cycle_mean_zero_matrices(draw):
     """Non-integer square matrices shifted to maximum cycle mean zero, n <= 9."""
-    from mpcsr.digraph import WeightedDigraph, max_cycle_mean
+    from mpcsr.digraph import max_cycle_mean
 
     n = draw(st.integers(1, 9))
     m = _scaled(draw(weight_grids(n, n)), draw(scale))
-    lam = max_cycle_mean(WeightedDigraph.from_matrix(m))
+    lam = max_cycle_mean(m)
     return m if lam is None else m.shift(-lam)
 
 
