@@ -12,6 +12,7 @@ powers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional
 
 from .ensemble import Ensemble, path_weights
@@ -249,6 +250,8 @@ def ambient_csr_bound(ensemble: Ensemble) -> BoundReport:
                     bound = a_val
         connect.append(tuple(crow))
         avoid.append(arow)
+    if not isfinite(bound):
+        raise AssumptionError(f"the ambient bound is {bound}: the weights overflow floating point")
     return BoundReport(
         profile=report.profile,
         lambda_star=lam,

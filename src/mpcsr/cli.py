@@ -93,8 +93,15 @@ def _write(path: str, text: str) -> None:
         raise InputError(f"cannot write {path}: {exc}") from exc
 
 
+def _render(payload: dict) -> str:
+    try:
+        return render_json(payload) + "\n"
+    except ValueError as exc:
+        raise InputError(f"the weights overflow floating point: {exc}") from exc
+
+
 def _emit(args, payload: dict) -> None:
-    text = render_json(payload) + "\n"
+    text = _render(payload)
     if args.output:
         _write(args.output, text)
     else:
@@ -219,7 +226,7 @@ def _cmd_csr_check(args) -> int:
             "rank_bound": factors.rank_bound,
             "representatives": [list(r) for r in factors.representatives],
         }
-        _write(args.emit_factors, render_json(factor_payload) + "\n")
+        _write(args.emit_factors, _render(factor_payload))
     return 0 if check.equal else 1
 
 
@@ -325,7 +332,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, EnsembleError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .bounds import wielandt
-from .digraph import CriticalComponent, CriticalStructure
+from .digraph import CriticalStructure
 from .ensemble import Ensemble
 from .semiring import MaxPlusMatrix, Scalar, first_difference, matrices_equal, mp_multiply
-from .trellis import Word, gamma_product
+from .trellis import ClassMaxima, Word, class_maxima, compressed_factors, gamma_product
 
 
 def _eps_grid(n: int) -> list[list[Scalar]]:
@@ -76,39 +76,6 @@ def _component_thresholds(ensemble: Ensemble) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class ClassMaxima:
-    """Maxima of a product over the cyclic classes of one critical component.
-
-    ``columns[l][i]`` is the largest entry of row i over the columns of
-    class l; ``rows[l][j]`` is the largest entry of column j over the rows
-    of class l.
-    """
-
-    component: CriticalComponent
-    columns: tuple[tuple[Scalar, ...], ...]
-    rows: tuple[tuple[Scalar, ...], ...]
-
-    @property
-    def representatives(self) -> tuple[int, ...]:
-        """The smallest node of every class, in class order."""
-        return tuple(min(members) for members in self.component.classes())
-
-
-def _max(values) -> Scalar:
-    return max((x for x in values if x is not None), default=None)
-
-
-def _class_maxima(product: MaxPlusMatrix, comp: CriticalComponent) -> ClassMaxima:
-    data = product.data
-    classes = comp.classes()
-    return ClassMaxima(
-        component=comp,
-        columns=tuple(tuple(_max(row[c] for c in members) for row in data) for members in classes),
-        rows=tuple(tuple(map(_max, zip(*(data[d] for d in members)))) for members in classes),
-    )
-
-
-@dataclass(frozen=True)
 class CsrTerms:
     """All ingredients of the CSR form of one word product."""
 
@@ -142,7 +109,7 @@ def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
     t = max(1, -(-threshold // gamma))
     v = (t + 1) * gamma - (k % gamma)
 
-    maxima = tuple(_class_maxima(product, comp) for comp in crit.components)
+    maxima = tuple(class_maxima(product.data, comp) for comp in crit.components)
     c_grid = _eps_grid(n)
     r_grid = _eps_grid(n)
     for cm in maxima:
@@ -180,11 +147,10 @@ def _factors(terms: CsrTerms, maxima: Sequence[ClassMaxima]) -> tuple[MaxPlusMat
     n = terms.product.rows
     c_grid = _eps_grid(n)
     r_grid = _eps_grid(n)
-    for cm in maxima:
-        for cls, rep in enumerate(cm.representatives):
-            for i in range(n):
-                c_grid[i][rep] = terms.c_global.data[i][rep]
-            r_grid[rep] = cm.rows[cls]
+    for rep, column, row in compressed_factors(maxima, terms.k):
+        for grid_row, value in zip(c_grid, column):
+            grid_row[rep] = value
+        r_grid[rep] = row
     return MaxPlusMatrix.from_rows(c_grid), MaxPlusMatrix.from_rows(r_grid)
 
 

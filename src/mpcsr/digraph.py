@@ -265,11 +265,13 @@ class CriticalStructure:
 def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
     """Critical nodes, edges, components and cyclic classes of a matrix's digraph.
 
-    After normalising all weights by -lam, a node is critical exactly when
-    the metric matrix has a zero diagonal entry there, and an edge (i, j) is
-    critical exactly when a_ij plus the optimal return weight j -> i is zero.
-    ``lam`` must be the matrix's own maximum cycle mean, so the normalised
-    matrix has cycle mean zero and its star needs no convergence check.
+    After normalising all weights by -lam, an edge (i, j) is critical
+    exactly when a_ij plus the optimal return weight j -> i is zero, and the
+    critical nodes are those of the nontrivial strongly connected components
+    of the critical edges.  Only the edge test reads a tolerance, so on float
+    data every critical node lies on a cycle of critical edges.  ``lam``
+    must be the matrix's own maximum cycle mean, so the normalised matrix
+    has cycle mean zero and its star needs no convergence check.
     """
     rows = _weighted_successors(a)
     if lam is None or not math.isfinite(lam):
@@ -278,7 +280,6 @@ def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
     normalized = a.shift(-lam)
     plus = mp_multiply(normalized, _star(normalized)).data
 
-    crit_nodes = frozenset(i for i in range(n) if plus[i][i] is not None and plus[i][i] >= -TOL)
     crit_edges = frozenset(
         (u, v)
         for u, row in enumerate(finite_rows(normalized))
@@ -291,14 +292,15 @@ def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
     for u, v in sorted(crit_edges):
         crit_successors[u].append(v)
     for comp in strongly_connected_components(crit_successors):
-        comp_nodes = [v for v in comp if v in crit_nodes]
-        if not comp_nodes or not _nontrivial(comp_nodes, set(crit_edges)):
+        if not _nontrivial(comp, crit_edges):
             continue
-        comp_edges = frozenset((u, v) for u, v in crit_edges if u in set(comp_nodes) and v in set(comp_nodes))
-        class_of = cyclic_classes(comp_nodes, sorted(comp_edges))
+        nodes = frozenset(comp)
+        comp_edges = frozenset((u, v) for u, v in crit_edges if u in nodes and v in nodes)
+        class_of = cyclic_classes(comp, sorted(comp_edges))
         # Every cyclic class of a strongly connected digraph is nonempty.
         gamma = max(class_of.values()) + 1
-        components.append(CriticalComponent(frozenset(comp_nodes), comp_edges, gamma, class_of))
+        components.append(CriticalComponent(nodes, comp_edges, gamma, class_of))
+    crit_nodes = frozenset(v for c in components for v in c.nodes)
 
     global_gamma = 1
     for c in components:

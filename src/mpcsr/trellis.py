@@ -25,6 +25,20 @@ candidate grown from a dropped walk is never strictly heavier than the
 best, which is all that replaces it.  Without the flag nothing is dropped
 on weight.
 
+The word product is a left fold that may switch to the factored form past
+the CSR onset.  When the prefix product G(l) is CSR, it equals C' (*) R'
+with one column of C' and one row of R' per critical cyclic class (r rows
+in all), so G(l + m) = C' (*) (R' (*) A_(l+1) (*) ... (*) A_(l+m)).  Regrouping
+float sums is not bit-exact in general, so the switch needs exact data:
+every finite visualised entry an integer-valued float other than -0.0, and
+2 k max|entry| < 2**53 for a word of length k.  Then every sum of at most
+2k entries is an exact integer and the product is associative.  The fold
+tests the prefix at l = 8, 16, 32, ... (never at the last letter), carries
+the r rows of R' from the first l that passes, and expands C' (*) R' once
+at the end.  On other data, without a critical class, or when no test
+passes, the plain fold runs letter by letter.  Either way the product is
+the one the plain fold gives.
+
 Both folds read the row-adjacency lists (``finite_rows``) of every
 generator and of its transpose, built once per ensemble and kept on it.
 ``gamma_product`` also keeps the last word it folded with that word's
@@ -37,9 +51,11 @@ dies with its ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import copysign, isfinite
 from typing import Optional, Sequence
 
-from .ensemble import Ensemble, path_weights
+from .digraph import CriticalComponent
+from .ensemble import Ensemble, EnsembleError, path_weights
 from .semiring import MaxPlusMatrix, Scalar, finite_rows, row_product
 
 
@@ -102,9 +118,10 @@ class WalkLengthReport:
     v_bounds: tuple[Optional[float], ...]
 
 
-def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool]:
+def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool, Optional[float]]:
     """``finite_rows`` of every visualised generator and of its transpose,
-    and whether every finite entry is <= 0 (a transpose has the same ones).
+    whether every finite entry is <= 0 (a transpose has the same ones), and
+    the largest |entry| when the data are exact (``_exact_scale``).
 
     Built on the first call and kept on the ensemble instance.
     """
@@ -117,8 +134,90 @@ def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool]:
             rows,
             [finite_rows(MaxPlusMatrix(n, n, tuple(zip(*g.data)))) for g in gens],
             all(v <= 0 for adjacency in rows for row in adjacency for _, v in row),
+            _exact_scale(v for adjacency in rows for row in adjacency for _, v in row),
         )
     return cached
+
+
+def _exact_scale(values) -> Optional[float]:
+    """The largest |value| when every value is an integer-valued float other
+    than -0.0, else None."""
+    scale = 0.0
+    for v in values:
+        if not v.is_integer() or (v == 0 and copysign(1.0, v) < 0):
+            return None
+        scale = max(scale, abs(v))
+    return scale
+
+
+@dataclass(frozen=True)
+class ClassMaxima:
+    """Maxima of a product over the cyclic classes of one critical component.
+
+    ``columns[l][i]`` is the largest entry of row i over the columns of
+    class l; ``rows[l][j]`` is the largest entry of column j over the rows
+    of class l.
+    """
+
+    component: CriticalComponent
+    columns: tuple[tuple[Scalar, ...], ...]
+    rows: tuple[tuple[Scalar, ...], ...]
+
+    @property
+    def representatives(self) -> tuple[int, ...]:
+        """The smallest node of every class, in class order."""
+        return tuple(min(members) for members in self.component.classes())
+
+
+def _max(values) -> Scalar:
+    return max((x for x in values if x is not None), default=None)
+
+
+def class_maxima(data: Sequence[Sequence[Scalar]], comp: CriticalComponent) -> ClassMaxima:
+    """Class maxima of the square grid ``data`` over one critical component."""
+    classes = comp.classes()
+    return ClassMaxima(
+        component=comp,
+        columns=tuple(tuple(_max(row[c] for c in members) for row in data) for members in classes),
+        rows=tuple(tuple(map(_max, zip(*(data[d] for d in members)))) for members in classes),
+    )
+
+
+def compressed_factors(
+    maxima: Sequence[ClassMaxima], k: int
+) -> list[tuple[int, tuple[Scalar, ...], tuple[Scalar, ...]]]:
+    """(representative, column of C', row of R') for every cyclic class.
+
+    For a product of length k the column of C' at the class-l representative
+    is the column maximum over class l + k (mod the component's cyclicity),
+    and the row of R' is the row maximum over class l itself; C' (*) R' is
+    the CSR form C (*) S^(k mod gamma) (*) R.
+    """
+    return [
+        (rep, cm.columns[(cls + k) % cm.component.cyclicity], cm.rows[cls])
+        for cm in maxima
+        for cls, rep in enumerate(cm.representatives)
+    ]
+
+
+def _csr_onset(
+    state: Sequence[Sequence[Scalar]], components: Sequence[CriticalComponent], k: int
+) -> Optional[tuple[list, list]]:
+    """C' by rows (r entries each) and the r rows of R' when ``state``, a
+    product of length k, equals C' (*) R' entry for entry; else None."""
+    pairs = compressed_factors([class_maxima(state, comp) for comp in components], k)
+    left = list(zip(*(column for _, column, _ in pairs)))
+    right = [row for _, _, row in pairs]
+    for state_row, c_row in zip(state, left):
+        for j, x in enumerate(state_row):
+            best: Scalar = None
+            for c, r_row in zip(c_row, right):
+                y = r_row[j]
+                if c is not None and y is not None and (best is None or c + y > best):
+                    best = c + y
+            if best != x:
+                return None
+    return left, right
 
 
 def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
@@ -126,19 +225,38 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
 
     The word is folded left to right over plain row lists with
     ``row_product``, which is what ``mp_multiply`` does letter by letter,
-    so the floats are the same.  The last word and its product are kept on
-    the ensemble; an equal word (by its letters) gets that product back.
+    so the floats are the same.  On exact data the fold tests prefix
+    lengths 8, 16, 32, ... for the CSR onset (``_csr_onset``) and, from the
+    first one that passes, carries the r rows of R' instead of n rows (see
+    the module docstring); the product is the same.  The last word and its
+    product are kept on the ensemble; an equal word (by its letters) gets
+    that product back.
     """
     last = ensemble.__dict__.get("_last_product")
     if last is not None and last[0] == word.letters:
         return last[1]
     word.validate(ensemble)
-    rows_of = _adjacency(ensemble)[0]
+    rows_of, _, _, scale = _adjacency(ensemble)
     n = ensemble.size
+    k = len(word)
+    exact = scale is not None and 2 * k * scale < 2.0**53
+    components = ensemble.critical.components
+    check_at = 8 if exact and components else k
     result: Sequence[Sequence[Scalar]] = ensemble.normalized[word.letters[0] - 1].data
-    for letter in word.letters[1:]:
+    left = None
+    for length, letter in enumerate(word.letters[1:], start=2):
         adjacency = rows_of[letter - 1]
         result = [row_product(row, adjacency, n) for row in result]
+        if length == check_at < k:
+            onset = _csr_onset(result, components, length)
+            check_at = k if onset else 2 * length
+            if onset:
+                left, result = onset
+    if left is not None:
+        right = [[(j, v) for j, v in enumerate(row) if v is not None] for row in result]
+        result = [row_product(row, right, n) for row in left]
+    if not exact and not all(v is None or isfinite(v) for row in result for v in row):
+        raise EnsembleError(f"the product of a word of length {k} overflows floating point")
     product = MaxPlusMatrix(n, n, tuple(map(tuple, result)))
     ensemble.__dict__["_last_product"] = (word.letters, product)
     return product
@@ -161,7 +279,7 @@ def first_passage_data(
     word.validate(ensemble)
     n = ensemble.size
     crit = ensemble.critical_nodes
-    rows, cols, nonpositive = _adjacency(ensemble)
+    rows, cols, nonpositive, _ = _adjacency(ensemble)
     w_star, w_len = _first_passage(rows, word.letters, crit, n, nonpositive)
     v_star, v_len = _first_passage(cols, word.letters[::-1], crit, n, nonpositive)
     return w_star, w_len, v_star, v_len

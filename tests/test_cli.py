@@ -113,6 +113,48 @@ def test_analyze_float_generator_with_rounded_cycle_mean(capsys, tmp_path):
     assert json.loads(out)["critical"]["critical_nodes"] == [0, 1, 2]
 
 
+def _write_generators(tmp_path, generators):
+    path = tmp_path / "ensemble.json"
+    n = len(generators[0])
+    path.write_text(json.dumps({"generators": [{"rows": n, "cols": n, "entries": g} for g in generators]}))
+    return str(path)
+
+
+def test_analyze_float_input_where_node_and_edge_tolerances_disagree(capsys, tmp_path):
+    # In the second visualised generator the edge test puts node 1 on the
+    # critical cycle 0 -> 3 -> 1 -> 2 -> 0, but a separate diagonal test read
+    # -1.9e-9 < -TOL there and dropped it, which left a critical component
+    # without a cycle: cyclic_classes raised "cyclicity is undefined" (exit 1).
+    path = _write_generators(tmp_path, [
+        [[None, -32505877.6, 2532123.4, 3867907.8], [None, None, -30775461.8, None],
+         [-19976419.7, None, -27432619.3, -37383867.1], [-38302243.2, -11324861.1, 36835393.9, -18648350.7]],
+        [[-15618388.3, 6120570.9, 18648520.5, -229549.3], [18582273.0, -17162268.1, 27403378.1, None],
+         [13487910.2, -35457121.9, 12071317.2, -35609112.0], [-1485999.7, 36956731.6, None, None]],
+    ])
+    code, out, _ = run(capsys, "analyze", path)
+    assert code != 1
+    critical = json.loads(out)["critical"]
+    assert critical["critical_nodes"] == sorted(v for c in critical["components"] for v in c["nodes"])
+
+
+def test_bounds_rejects_an_ambient_bound_that_overflows(capsys, tmp_path):
+    path = _write_generators(tmp_path, [[[1e307, 1e307], [0, 1e308]]])
+    code, out, err = run(capsys, "bounds", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: the ambient bound is inf: the weights overflow floating point\n"
+
+
+@pytest.mark.parametrize("command, word", [("product", "1,1"), ("csr-check", "1,1"), ("csr-check", "1")])
+def test_word_commands_reject_products_that_overflow(capsys, tmp_path, command, word):
+    # Two -1e308 entries sum to -inf in the word product or in its CSR form.
+    path = _write_generators(tmp_path, [[[0, -1e308, None], [None, None, -1e308], [-1e308, None, None]]])
+    code, out, err = run(capsys, command, path, "--word", word)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
+
+
 def test_bounds_output(capsys, demo_file):
     code, out, _ = run(capsys, "bounds", demo_file)
     assert code == 0

@@ -411,3 +411,114 @@ def test_first_passage_keeps_every_walk_on_a_positive_entry(monkeypatch):
     result = first_passage_data(ens, word)
     assert calls[0] == _full_dp_row_products(ens, word)
     assert result == mirrored_first_passage_data(ens, word)
+
+
+# -- factored fold past the CSR onset ---------------------------------------------
+
+
+def _csr_stream_ensemble(transform=lambda x: x):
+    # The csr-stream benchmark ensemble: n = 32, gamma = 3, generator seed 0.
+    gen = bench_module("gen")
+    rows = gen.p0_generators(random.Random(0), 32, 3, 0.15)
+    return _variant([MaxPlusMatrix.from_rows(g) for g in rows], transform)
+
+
+def _prefix_folds(ensemble, letters):
+    """The dense left fold of every prefix of ``letters``, shortest first."""
+    gens = ensemble.normalized
+    result = gens[letters[0] - 1]
+    yield result
+    for letter in letters[1:]:
+        result = dense_multiply(result, gens[letter - 1])
+        yield result
+
+
+def test_factored_fold_matches_dense_fold_on_the_csr_stream_ensemble():
+    ens = _csr_stream_ensemble()
+    assert trellis._adjacency(ens)[3] == 33.0
+    rng = random.Random(12)
+    for _ in range(2):
+        letters = random_word(rng, ens, 130).letters
+        for k, folded in enumerate(_prefix_folds(ens, letters), start=1):
+            assert gamma_product(ens, Word(letters[:k])) == folded, k
+
+
+def test_factored_fold_matches_dense_fold_on_the_families():
+    cases = 0
+    for family_id in FAMILY_IDS:
+        fam = build_family(family_id)
+        ens = fam.ensemble()
+        assert trellis._adjacency(ens)[3] is not None
+        for cls in fam.word_classes:
+            for t in range(cls.t_min, 61):
+                word = cls.word(t)
+                assert gamma_product(ens, word) == dense_fold(ens, word), (family_id, cls.label, t)
+                cases += 1
+    assert cases > 400
+
+
+def test_factored_fold_matches_dense_fold_on_the_demo():
+    ens = demo.ensemble()
+    assert trellis._adjacency(ens)[3] is not None
+    assert gamma_product(ens, demo.WORD) == demo.EXPECTED_PRODUCT
+    rng = random.Random(21)
+    for _ in range(3):
+        letters = random_word(rng, ens, 100).letters
+        for k, folded in enumerate(_prefix_folds(ens, letters), start=1):
+            assert gamma_product(ens, Word(letters[:k])) == folded, k
+
+
+def _negative_zero_ensemble():
+    # The csr-stream generators are visualised already, so a rebuild keeps
+    # them as they are, including a critical 0 turned into -0.0.
+    gens = list(_csr_stream_ensemble().normalized)
+    rows = [list(row) for row in gens[0].data]
+    rows[0][1] = -0.0
+    gens[0] = MaxPlusMatrix(32, 32, tuple(map(tuple, rows)))
+    return build_ensemble(gens)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _csr_stream_ensemble(lambda x: x * 0.1),
+        lambda: _csr_stream_ensemble(lambda x: x + 0.1),
+        _negative_zero_ensemble,
+    ],
+    ids=["times-0.1", "plus-0.1", "negative-zero"],
+)
+def test_plain_fold_on_inexact_data(monkeypatch, make):
+    ens = make()
+    assert trellis._adjacency(ens)[3] is None
+    letters = random_word(random.Random(4), ens, 40).letters
+    calls = _count_row_products(monkeypatch)
+    assert gamma_product(ens, Word(letters)) == dense_fold(ens, Word(letters))
+    assert calls[0] == ens.size * (len(letters) - 1)
+
+
+def test_plain_fold_when_the_word_is_too_long_for_exact_sums(monkeypatch):
+    # Integer data, but 2 * k * (largest |entry|) reaches 2**53 between k = 20 and k = 40.
+    ens = _csr_stream_ensemble(lambda x: x * 2.0**42)
+    scale = trellis._adjacency(ens)[3]
+    assert scale is not None and 2 * 40 * scale >= 2.0**53 > 2 * 20 * scale
+    calls = _count_row_products(monkeypatch)
+    rng = random.Random(6)
+    word = random_word(rng, ens, 40)
+    assert gamma_product(ens, word) == dense_fold(ens, word)
+    assert calls[0] == 32 * 39
+    calls[0] = 0
+    word = random_word(rng, ens, 20)
+    assert gamma_product(ens, word) == dense_fold(ens, word)
+    assert calls[0] < 32 * 19
+
+
+def test_factored_fold_carries_one_row_per_critical_class(monkeypatch):
+    ens = _csr_stream_ensemble()
+    rng = random.Random(9)
+    calls = _count_row_products(monkeypatch)
+    for k in (90, 101, 130):
+        word = random_word(rng, ens, k)
+        calls[0] = 0
+        product = gamma_product(ens, word)
+        assert 0 < calls[0] <= 16 * 32 + (k - 16) * 3 + 32, k
+        assert product == is_csr(ens, word).csr
