@@ -70,8 +70,10 @@ def _load_ensemble(path: str) -> Ensemble:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read ensemble file {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"cannot read ensemble file {path}: JSON nested too deeply") from exc
     if not isinstance(payload, dict) or "generators" not in payload:
         raise InputError(f"{path}: expected an object with a 'generators' list")
     try:

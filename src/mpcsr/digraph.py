@@ -9,6 +9,22 @@ A square matrix is its own digraph, with edge (i, j) where entry (i, j) is
 finite: the cycle-mean, irreducibility and critical routines take it and
 walk its ``finite_rows`` in row-major order.  Tarjan's algorithm takes
 successor lists, the cyclicity routines a ``(nodes, edges)`` pair.
+
+The critical edges come by one of two routes, and both hand them to one
+shared tail that builds the components, cyclic classes and ambient
+structure.  ``critical_graph`` is the general route: the star of the
+matrix normalised by its cycle mean, one product and a test of every edge
+against ``TOL``; it is bit-exact on any floats and is the referee.
+``zero_critical_graph`` is the route for exact data: every finite entry an
+integer-valued float <= 0 other than -0.0, and n max|entry| < 2**53, which
+the caller checks.  There every walk sum is an exact integer, so a cycle
+is critical exactly when its mean is 0, that is when every edge on it is
+0, and the critical edges are the zero edges inside the strongly connected
+components of the zero-edge subgraph: one Tarjan pass, with no star,
+product or cycle mean.  It inserts those edges in the row-major order the
+general route uses, so the two give equal sets that also iterate alike.
+It returns None when the matrix has no zero cycle (cycle mean below 0);
+the caller then takes the general route.
 """
 
 from __future__ import annotations
@@ -272,13 +288,18 @@ def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
     data every critical node lies on a cycle of critical edges.  ``lam``
     must be the matrix's own maximum cycle mean, so the normalised matrix
     has cycle mean zero and its star needs no convergence check.
+
+    The star of the normalised matrix is kept in the returned structure's
+    ``__dict__`` under ``_star`` (not a field: equality and ``repr`` ignore
+    it), so that the ensemble build can visualise with it instead of
+    starring the same matrix again.
     """
     rows = _weighted_successors(a)
     if lam is None or not math.isfinite(lam):
         raise ValueError("critical structure needs a finite maximum cycle mean")
-    n = a.rows
     normalized = a.shift(-lam)
-    plus = mp_multiply(normalized, _star(normalized)).data
+    star = _star(normalized)
+    plus = mp_multiply(normalized, star).data
 
     crit_edges = frozenset(
         (u, v)
@@ -286,7 +307,44 @@ def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
         for v, w in row
         if plus[v][u] is not None and w + plus[v][u] >= -TOL
     )
+    structure = _structure(rows, lam, crit_edges)
+    structure.__dict__["_star"] = star
+    return structure
 
+
+def zero_cycle_edges(a: MaxPlusMatrix) -> frozenset[tuple[int, int]]:
+    """Zero edges whose ends share a strongly connected component of the
+    zero-edge subgraph, that is the edges of the cycles of zero edges, in
+    row-major order; one Tarjan pass."""
+    zero = [[v for v, w in row if w == 0] for row in _weighted_successors(a)]
+    component_of = [0] * a.rows
+    for index, comp in enumerate(strongly_connected_components(zero)):
+        for v in comp:
+            component_of[v] = index
+    return frozenset((u, v) for u, heads in enumerate(zero) for v in heads if component_of[u] == component_of[v])
+
+
+def zero_critical_graph(a: MaxPlusMatrix) -> Optional[CriticalStructure]:
+    """``critical_graph(a, 0.0)`` on exact data, read off the cycles of zero
+    edges; None when there is none.
+
+    Exact data: every finite entry an integer-valued float <= 0 other than
+    -0.0, and n max|entry| < 2**53 (the caller's check).  Then the cycle
+    mean is 0 exactly when some cycle has only zero edges, Karp returns
+    exactly 0.0 for it, and the general route's edge test holds exactly on
+    the edges of such cycles.
+    """
+    crit_edges = zero_cycle_edges(a)
+    if not crit_edges:
+        return None
+    return _structure(finite_rows(a), 0.0, crit_edges)
+
+
+def _structure(
+    rows: Sequence[Sequence[tuple[int, float]]], lam: float, crit_edges: frozenset[tuple[int, int]]
+) -> CriticalStructure:
+    """Components, cyclic classes and ambient structure around the critical edges."""
+    n = len(rows)
     components = []
     crit_successors: list[list[int]] = [[] for _ in range(n)]
     for u, v in sorted(crit_edges):

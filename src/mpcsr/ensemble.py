@@ -13,15 +13,37 @@ aborts on structural impossibilities (shape mismatch, a generator without
 cycles, or a node that cannot reach the critical set while a rescaling is
 required) and on float overflow to a cycle mean or visualised entry that
 is not finite.
+
+The critical structure of the normalised supremum, which the visualisation
+reads, comes from ``critical_graph``; when its cycle mean is +0.0 the star
+that ``critical_graph`` computed is the star of the supremum itself, and
+the visualisation reuses it.  After visualisation the build reads one
+exactness predicate off the visualised generators (``exactness``): whether
+every finite entry is <= 0, and their largest |entry| when every one is an
+integer-valued float other than -0.0.  When both hold and n times that
+scale is below 2**53, every walk sum the critical routes form is an exact
+integer, so the critical digraphs of the supremum and of each generator
+are read off their cycles of zero edges (``zero_critical_graph``), with no
+star and no cycle mean; the result is the one ``critical_graph`` gives, bit
+for bit.  A matrix without a zero cycle, and all other data, take
+``critical_graph`` with Karp's cycle mean as before.  The word-product
+fold reads the same predicate (``trellis._adjacency``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
+from math import copysign, isfinite
 from typing import Iterable, Optional, Sequence
 
-from .digraph import CriticalStructure, critical_graph, max_cycle_mean
+from .digraph import (
+    CriticalStructure,
+    critical_graph,
+    is_irreducible,
+    max_cycle_mean,
+    zero_critical_graph,
+    zero_cycle_edges,
+)
 from .semiring import (
     TOL,
     MaxPlusMatrix,
@@ -141,6 +163,33 @@ def _cycle_mean(m: MaxPlusMatrix, what: str) -> Optional[float]:
     return lam
 
 
+def _entry_profile(mats: Sequence[MaxPlusMatrix]) -> tuple[bool, Optional[float]]:
+    values = [v for m in mats for row in m.data for v in row if v is not None]
+    exact = all(v.is_integer() and (v != 0 or copysign(1.0, v) > 0) for v in values)
+    return all(v <= 0 for v in values), max(map(abs, values), default=0.0) if exact else None
+
+
+def exactness(ensemble: "Ensemble") -> tuple[bool, Optional[float]]:
+    """Whether every finite visualised entry is <= 0, and their largest
+    |entry| when the entries are exact (integer-valued floats other than
+    -0.0), else None.
+
+    ``build_ensemble`` computes this once and keeps it on the ensemble
+    instance, as ``path_weights`` is kept; an ensemble made another way
+    (``dataclasses.replace``) computes it on the first call.
+    """
+    cached = ensemble.__dict__.get("_exactness")
+    if cached is None:
+        cached = ensemble.__dict__["_exactness"] = _entry_profile(ensemble.normalized)
+    return cached
+
+
+def _critical(m: MaxPlusMatrix, exact: bool, what: str) -> CriticalStructure:
+    """The critical structure of ``m``: off its zero cycles on exact data
+    when it has one, else by ``critical_graph`` at Karp's cycle mean."""
+    return (zero_critical_graph(m) if exact else None) or critical_graph(m, _cycle_mean(m, what))
+
+
 def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
     """Normalise, visualise and analyse a family of generators."""
     if not generators:
@@ -165,7 +214,9 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
 
     x = (0.0,) * n
     if abs(lam_sup0) <= TOL and not _is_visualised(normalized + [a_sup0], crit0):
-        star = _star(a_sup0)
+        # critical_graph starred a_sup0 shifted by -lam_sup0, which changes
+        # no entry when lam_sup0 is +0.0.
+        star = crit0.__dict__["_star"] if lam_sup0 == 0 and copysign(1.0, lam_sup0) > 0 else _star(a_sup0)
         scaled = []
         for i in range(n):
             best = _top(star.data[i][c] for c in sorted(crit0.critical_nodes))
@@ -180,17 +231,18 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
     visualised = tuple(normalized)
     if any(v is not None and not isfinite(v) for m in visualised for row in m.data for v in row):
         raise EnsembleError("visualised entries overflow floating point")
+    nonpositive, scale = profile = _entry_profile(visualised)
+    exact = nonpositive and scale is not None and n * scale < 2.0**53
     a_sup = entrywise_sup(visualised)
     a_inf = entrywise_inf(visualised)
-    lam_sup = _cycle_mean(a_sup, "the supremum")
-    crit = critical_graph(a_sup, lam_sup)
+    crit = _critical(a_sup, exact, "the supremum")
 
     noncritical = [i for i in range(n) if i not in crit.critical_nodes]
     b_sup = a_sup.mask(noncritical) if noncritical else MaxPlusMatrix.epsilon(n, n)
     lambda_star = _cycle_mean(b_sup, "the noncritical supremum")
 
-    report = _assess(visualised, a_sup, a_inf, lam_sup, crit)
-    return Ensemble(
+    report = _assess(visualised, a_sup, a_inf, crit, exact)
+    ensemble = Ensemble(
         generators=tuple(generators),
         normalized=visualised,
         visualisation_vector=x,
@@ -201,28 +253,35 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
         critical=crit,
         assumption_report=report,
     )
+    ensemble.__dict__["_exactness"] = profile
+    return ensemble
 
 
 def _assess(
     mats: Sequence[MaxPlusMatrix],
     a_sup: MaxPlusMatrix,
     a_inf: MaxPlusMatrix,
-    lam_sup: float,
     crit: CriticalStructure,
+    exact: bool,
 ) -> AssumptionReport:
     notes: list[str] = []
 
-    crits = [critical_graph(m, _cycle_mean(m, f"visualised generator {idx}")) for idx, m in enumerate(mats)]
-    # critical_graph sets ambient classes exactly when the digraph is irreducible.
-    irU = all(crit_m.ambient_class_of is not None for crit_m in crits)
+    # Only each generator's critical edges are compared: both routes take
+    # the critical nodes from the nontrivial components of those edges.
+    edge_sets = [
+        (zero_cycle_edges(m) if exact else None)
+        or critical_graph(m, _cycle_mean(m, f"visualised generator {idx}")).critical_edges
+        for idx, m in enumerate(mats)
+    ]
+    irU = all(is_irreducible(m) for m in mats)
     if not irU:
         notes.append("some generator is not irreducible")
 
     sup_support = a_sup.support()
     same_support = all(m.support() == sup_support for m in mats)
     same_critical = True
-    for idx, crit_m in enumerate(crits):
-        if crit_m.critical_edges != crit.critical_edges or crit_m.critical_nodes != crit.critical_nodes:
+    for idx, edges in enumerate(edge_sets):
+        if edges != crit.critical_edges:
             same_critical = False
             notes.append(f"generator {idx} has a different critical digraph")
     strongly = same_support and same_critical
@@ -233,6 +292,7 @@ def _assess(
     if not inf_equiv:
         notes.append("the entrywise infimum loses edges of the common digraph")
 
+    lam_sup = crit.lam
     d1 = abs(lam_sup) <= TOL
     if not d1:
         notes.append(f"supremum matrix has cycle mean {lam_sup}, not zero")

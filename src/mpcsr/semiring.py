@@ -120,6 +120,9 @@ class MaxPlusMatrix:
             rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         except (TypeError, KeyError) as exc:
             raise ShapeError(f"matrix object must carry rows/cols/entries: {exc}") from exc
+        for name, size in (("rows", rows), ("cols", cols)):
+            if not (type(size) is int or (type(size) is float and size.is_integer())):
+                raise ShapeError(f"matrix {name} must be an integer, got {size!r}")
         mat = cls.from_rows(entries)
         if mat.rows != rows or mat.cols != cols:
             raise ShapeError(

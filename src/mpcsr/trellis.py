@@ -30,7 +30,8 @@ the CSR onset.  When the prefix product G(l) is CSR, it equals C' (*) R'
 with one column of C' and one row of R' per critical cyclic class (r rows
 in all), so G(l + m) = C' (*) (R' (*) A_(l+1) (*) ... (*) A_(l+m)).  Regrouping
 float sums is not bit-exact in general, so the switch needs exact data:
-every finite visualised entry an integer-valued float other than -0.0, and
+every finite visualised entry an integer-valued float other than -0.0 (the
+ensemble's ``exactness``, computed once by the build), and
 2 k max|entry| < 2**53 for a word of length k.  Then every sum of at most
 2k entries is an exact integer and the product is associative.  The fold
 tests the prefix at l = 8, 16, 32, ... (never at the last letter), carries
@@ -51,11 +52,11 @@ dies with its ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, isfinite
+from math import isfinite
 from typing import Optional, Sequence
 
 from .digraph import CriticalComponent
-from .ensemble import Ensemble, EnsembleError, path_weights
+from .ensemble import Ensemble, EnsembleError, exactness, path_weights
 from .semiring import MaxPlusMatrix, Scalar, finite_rows, row_product
 
 
@@ -120,8 +121,9 @@ class WalkLengthReport:
 
 def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool, Optional[float]]:
     """``finite_rows`` of every visualised generator and of its transpose,
-    whether every finite entry is <= 0 (a transpose has the same ones), and
-    the largest |entry| when the data are exact (``_exact_scale``).
+    then the ensemble's ``exactness``: whether every finite entry is <= 0
+    (a transpose has the same ones), and the largest |entry| when the data
+    are exact.
 
     Built on the first call and kept on the ensemble instance.
     """
@@ -129,25 +131,12 @@ def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool, Optional[float]]:
     if cached is None:
         gens = ensemble.normalized
         n = ensemble.size
-        rows = [finite_rows(g) for g in gens]
         cached = ensemble.__dict__["_adjacency"] = (
-            rows,
+            [finite_rows(g) for g in gens],
             [finite_rows(MaxPlusMatrix(n, n, tuple(zip(*g.data)))) for g in gens],
-            all(v <= 0 for adjacency in rows for row in adjacency for _, v in row),
-            _exact_scale(v for adjacency in rows for row in adjacency for _, v in row),
+            *exactness(ensemble),
         )
     return cached
-
-
-def _exact_scale(values) -> Optional[float]:
-    """The largest |value| when every value is an integer-valued float other
-    than -0.0, else None."""
-    scale = 0.0
-    for v in values:
-        if not v.is_integer() or (v == 0 and copysign(1.0, v) < 0):
-            return None
-        scale = max(scale, abs(v))
-    return scale
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ algebraic code paths, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -363,6 +365,123 @@ def full_scan_weak_csr_bound(ensemble: Ensemble, k_max: int):
         finite_pairs=finite_pairs,
         diagnostics=(),
     )
+
+
+# -- star-route ensemble build ------------------------------------------------
+
+
+def star_route_build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
+    """``build_ensemble`` with every critical structure taken the general way.
+
+    Each matrix gets Karp's cycle mean and ``critical_graph``: the supremum
+    before and after visualisation and every visualised generator.  The
+    visualisation stars the normalised supremum on its own.  This is the
+    build before the zero-cycle route and the star reuse, kept as their
+    referee.
+    """
+    from mpcsr.digraph import critical_graph
+    from mpcsr.ensemble import AssumptionReport, EnsembleError, _cycle_mean, _is_visualised, _profile, _top
+    from mpcsr.semiring import TOL, _star, entrywise_inf, entrywise_sup
+
+    if not generators:
+        raise EnsembleError("an ensemble needs at least one generator")
+    n = generators[0].rows
+    for g in generators:
+        if not g.is_square:
+            raise EnsembleError(f"generators must be square, got {g.rows}x{g.cols}")
+        if g.rows != n:
+            raise EnsembleError(f"generators must share one size, got {n} and {g.rows}")
+    normalized = []
+    for idx, g in enumerate(generators):
+        lam = _cycle_mean(g, f"generator {idx}")
+        if lam is None:
+            raise EnsembleError(f"generator {idx} has no cycles; its cycle mean is eps")
+        normalized.append(g.shift(-lam))
+    a_sup0 = entrywise_sup(normalized)
+    lam_sup0 = _cycle_mean(a_sup0, "the normalised supremum")
+    crit0 = critical_graph(a_sup0, lam_sup0)
+    x = (0.0,) * n
+    if abs(lam_sup0) <= TOL and not _is_visualised(normalized + [a_sup0], crit0):
+        star = _star(a_sup0)
+        scaled = []
+        for i in range(n):
+            best = _top(star.data[i][c] for c in sorted(crit0.critical_nodes))
+            if best is None:
+                raise EnsembleError(f"node {i} cannot reach the critical set; no finite visualisation exists")
+            scaled.append(best)
+        x = tuple(scaled)
+        normalized = [m.diagonal_similarity(x) for m in normalized]
+    mats = tuple(normalized)
+    if any(v is not None and not math.isfinite(v) for m in mats for row in m.data for v in row):
+        raise EnsembleError("visualised entries overflow floating point")
+    a_sup = entrywise_sup(mats)
+    a_inf = entrywise_inf(mats)
+    lam_sup = _cycle_mean(a_sup, "the supremum")
+    crit = critical_graph(a_sup, lam_sup)
+    noncritical = [i for i in range(n) if i not in crit.critical_nodes]
+    b_sup = a_sup.mask(noncritical) if noncritical else MaxPlusMatrix.epsilon(n, n)
+    lambda_star = _cycle_mean(b_sup, "the noncritical supremum")
+
+    notes: list[str] = []
+    crits = [critical_graph(m, _cycle_mean(m, f"visualised generator {idx}")) for idx, m in enumerate(mats)]
+    irreducible = all(c.ambient_class_of is not None for c in crits)
+    if not irreducible:
+        notes.append("some generator is not irreducible")
+    sup_support = a_sup.support()
+    same_support = all(m.support() == sup_support for m in mats)
+    same_critical = True
+    for idx, c in enumerate(crits):
+        if c.critical_edges != crit.critical_edges or c.critical_nodes != crit.critical_nodes:
+            same_critical = False
+            notes.append(f"generator {idx} has a different critical digraph")
+    if not same_support:
+        notes.append("generators do not share one finiteness pattern")
+    inf_equiv = a_inf.support() == sup_support
+    if not inf_equiv:
+        notes.append("the entrywise infimum loses edges of the common digraph")
+    d1 = abs(lam_sup) <= TOL
+    if not d1:
+        notes.append(f"supremum matrix has cycle mean {lam_sup}, not zero")
+    d2 = _is_visualised(list(mats) + [a_sup], crit)
+    if not d2:
+        notes.append("the family is not visualised: critical entries must be zero, others nonpositive")
+    report = AssumptionReport(
+        irreducible=irreducible,
+        strongly_equivalent=same_support and same_critical,
+        inf_equivalent=inf_equiv,
+        sup_cycle_mean_zero=d1,
+        visualised=d2,
+        profile=_profile(crit),
+        diagnostics=tuple(notes),
+    )
+    return Ensemble(
+        generators=tuple(generators),
+        normalized=mats,
+        visualisation_vector=x,
+        a_sup=a_sup,
+        a_inf=a_inf,
+        b_sup=b_sup,
+        lambda_star=lambda_star,
+        critical=crit,
+        assumption_report=report,
+    )
+
+
+def bitwise(value):
+    """``value`` with every float as its hex string and every set and dict
+    in its iteration order, so that two results compare equal only when
+    they hold the same floats, signs of zero included, and iterate alike."""
+    if isinstance(value, float):
+        return value.hex()
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__,) + tuple(bitwise(getattr(value, f.name)) for f in dataclasses.fields(value))
+    if isinstance(value, dict):
+        return ("dict",) + tuple((bitwise(k), bitwise(v)) for k, v in value.items())
+    if isinstance(value, (set, frozenset)):
+        return ("set",) + tuple(bitwise(v) for v in value)
+    return tuple(bitwise(v) for v in value)
 
 
 # -- cycles ----------------------------------------------------------------

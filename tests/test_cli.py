@@ -64,6 +64,46 @@ def test_analyze_rejects_wrong_schema(capsys, tmp_path):
     assert code == 2
 
 
+def test_analyze_rejects_a_file_that_is_not_utf8(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read ensemble file {bad}: 'utf-8' codec can't decode")
+
+
+def test_analyze_rejects_json_nested_too_deeply(capsys, tmp_path):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: cannot read ensemble file {bad}: JSON nested too deeply\n"
+
+
+@pytest.mark.parametrize("field", ["rows", "cols"])
+@pytest.mark.parametrize("size", ['"2"', "2.5", "true", "null"])
+def test_analyze_rejects_a_shape_that_is_not_an_integer(capsys, tmp_path, field, size):
+    shape = {"rows": "2", "cols": "2", field: size}
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        '{"generators": [{"rows": %s, "cols": %s, "entries": [[0, null], [null, 0]]}]}' % (shape["rows"], shape["cols"])
+    )
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: matrix {field} must be an integer, got {json.loads(size)!r}\n"
+
+
+def test_analyze_accepts_an_integer_valued_float_shape(capsys, tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text('{"generators": [{"rows": 2.0, "cols": 2, "entries": [[0, null], [null, 0]]}]}')
+    code, out, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert json.loads(out)["size"] == 2
+
+
 @pytest.mark.parametrize(
     "entry",
     ["-Infinity", "NaN", "1e400", "1" + "0" * 400, '"1"', "true"],

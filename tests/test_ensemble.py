@@ -3,12 +3,16 @@ import sys
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from mpcsr.counterexamples import build_family
-from mpcsr.ensemble import EnsembleError, build_ensemble, path_weights, u_k
-from mpcsr.semiring import MaxPlusMatrix, matrices_equal
+from mpcsr.digraph import critical_graph, max_cycle_mean, zero_critical_graph, zero_cycle_edges
+from mpcsr.ensemble import EnsembleError, _critical, build_ensemble, exactness, path_weights, u_k
+from mpcsr.semiring import MaxPlusMatrix, _star, matrices_equal
 from mpcsr.trellis import gamma_product
 
-from oracles import random_word
+from oracles import bench_module, bitwise, random_word, star_route_build_ensemble
 
 E = None
 
@@ -228,13 +232,16 @@ def test_path_weights_memo_is_per_instance():
     assert other == first
 
 
-def test_demo_build_runs_one_checked_star(monkeypatch):
-    # Every star inside the build and the path weights runs on a matrix whose
-    # cycle mean is known to be nonpositive, except the one checked star on
-    # the supremum; cycle means and components are not recomputed for it.
-    from mpcsr import demo
+def _p0_generators(seed, n=24, gamma=3, density=0.5, count=3):
+    gen = bench_module("gen")
+    return [MaxPlusMatrix.from_rows(g) for g in gen.p0_generators(random.Random(seed), n, gamma, density, count)]
 
-    calls = {"max_cycle_mean": 0, "kleene_star": 0, "strongly_connected_components": 0}
+
+def _build_calls(monkeypatch, generators):
+    """Calls per layer while building an ensemble and its path weights."""
+    calls = dict.fromkeys(
+        ["critical_graph", "kleene_star", "_star", "max_cycle_mean", "strongly_connected_components"], 0
+    )
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -243,12 +250,161 @@ def test_demo_build_runs_one_checked_star(monkeypatch):
 
         return wrapper
 
-    generators = demo.generators()
     for name in calls:
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "mpcsr" and hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counting(name, getattr(mod, name)))
     path_weights(build_ensemble(generators))
+    return calls
+
+
+def test_demo_build_runs_one_checked_star(monkeypatch):
+    # Every star inside the build and the path weights runs on a matrix whose
+    # cycle mean is known to be nonpositive, except the one checked star on
+    # the supremum.  On exact data the critical digraphs of the visualised
+    # supremum and generators come off their zero cycles, so the only
+    # critical_graph call is on the normalised supremum.
+    from mpcsr import demo
+
+    calls = _build_calls(monkeypatch, demo.generators())
     assert calls["kleene_star"] == 1
-    assert calls["max_cycle_mean"] <= 14
-    assert calls["strongly_connected_components"] <= 35
+    assert calls["critical_graph"] == 1
+    assert calls["_star"] <= 4
+    assert calls["max_cycle_mean"] <= 8
+    assert calls["strongly_connected_components"] <= 25
+
+
+def test_p0_build_runs_one_checked_star(monkeypatch):
+    # A bench/gen.py ensemble needs visualising: the visualisation reuses the
+    # star that critical_graph computed for the normalised supremum.
+    generators = _p0_generators(11)
+    assert any(build_ensemble(generators).visualisation_vector)
+    calls = _build_calls(monkeypatch, generators)
+    assert calls["kleene_star"] == 1
+    assert calls["critical_graph"] == 1
+    assert calls["_star"] <= 4
+    assert calls["max_cycle_mean"] <= 6
+    assert calls["strongly_connected_components"] <= 19
+
+
+# -- the zero-cycle route against critical_graph ------------------------------
+
+
+def _exact_sets():
+    from mpcsr import demo
+
+    yield "demo", demo.generators()
+    for fid in ("P1_six", "P1_three", "P2_six", "P3_four"):
+        yield fid, list(build_family(fid).generators)
+    seed = 0
+    for n in (12, 18, 24):
+        for gamma in (1, 2, 3):
+            for density in (0.15, 0.5):
+                seed += 1
+                yield f"p0 n={n} gamma={gamma} density={density}", _p0_generators(seed, n, gamma, density)
+    # Generator 0 misses the loop at node 0, a critical edge of the supremum:
+    # its critical digraph differs, and the report says so.
+    gens = list(build_family("P3_four").generators)
+    gens[0] = _with_entry(gens[0], 0, 0, None)
+    yield "P3_four without loop 0 in generator 0", gens
+
+
+def _with_entry(m, i, j, value):
+    rows = [list(row) for row in m.data]
+    rows[i][j] = value
+    return MaxPlusMatrix.from_rows(rows)
+
+
+def _scaled(gens, f):
+    return [MaxPlusMatrix.from_rows([[None if v is None else f(v) for v in row] for row in g.data]) for g in gens]
+
+
+def _fallback_sets():
+    from mpcsr import demo
+
+    yield "demo x0.1", _scaled(demo.generators(), lambda v: v * 0.1)
+    yield "demo +0.1", _scaled(demo.generators(), lambda v: v + 0.1)
+    gens = demo.generators()
+    yield "demo with a -0.0 critical entry", [_with_entry(gens[0], 0, 1, -0.0)] + gens[1:]
+    # Generator 1 misses the critical edge (2, 3) of the supremum and has no
+    # zero cycle left, so its normalisation is not exact.
+    gens = list(build_family("P2_six").generators)
+    gens[1] = _with_entry(gens[1], 2, 3, None)
+    yield "P2_six without (2, 3) in generator 1", gens
+    # Cycle mean -25/3: the normalised supremum keeps a cycle mean of about
+    # 6e-16, so the star of critical_graph, taken after shifting by it, is
+    # not the star of the supremum that the visualisation needs.
+    yield "cycle mean -25/3", [mat([[-11.0, -13.0, E], [-12.0, -12.0, -1.0], [-11.0, E, E]])]
+
+
+def _assert_same_structure(got, want):
+    assert got == want
+    assert bitwise(got) == bitwise(want)
+
+
+@pytest.mark.parametrize("label, generators", list(_exact_sets()), ids=lambda x: x if isinstance(x, str) else "")
+def test_zero_cycle_route_matches_critical_graph(label, generators):
+    ens = build_ensemble(generators)
+    nonpositive, scale = exactness(ens)
+    assert nonpositive and scale is not None and ens.size * scale < 2.0**53
+    for m in (ens.a_sup, *ens.normalized):
+        _assert_same_structure(zero_critical_graph(m), critical_graph(m, max_cycle_mean(m)))
+        assert zero_cycle_edges(m) == critical_graph(m, max_cycle_mean(m)).critical_edges
+
+
+@pytest.mark.parametrize(
+    "label, generators",
+    list(_exact_sets()) + list(_fallback_sets()),
+    ids=lambda x: x if isinstance(x, str) else "",
+)
+def test_build_matches_star_route_referee(label, generators):
+    ens = build_ensemble(generators)
+    ref = star_route_build_ensemble(generators)
+    assert ens == ref
+    assert bitwise(ens) == bitwise(ref)
+    assert _outcome(path_weights, ens) == _outcome(path_weights, ref)
+
+
+def _outcome(fn, *args):
+    try:
+        return bitwise(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("label, generators", list(_fallback_sets()), ids=lambda x: x if isinstance(x, str) else "")
+def test_fallback_sets_are_not_exact(label, generators):
+    nonpositive, scale = exactness(build_ensemble(generators))
+    assert not nonpositive or scale is None
+
+
+def test_matrix_without_zero_cycle_takes_the_star_route():
+    # P1_six's supremum without its critical edge (0, 1): every cycle left
+    # has a negative edge.
+    m = _with_entry(build_family("P1_six").ensemble().a_sup, 0, 1, None)
+    lam = max_cycle_mean(m)
+    assert lam < 0
+    assert zero_critical_graph(m) is None
+    _assert_same_structure(_critical(m, True, "m"), critical_graph(m, lam))
+
+
+@st.composite
+def _zero_cycle_matrices(draw):
+    n = draw(st.integers(1, 7))
+    rows = [[draw(st.one_of(st.none(), st.integers(-9, 0).map(float))) for _ in range(n)] for _ in range(n)]
+    cycle = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        rows[u][v] = 0.0
+    return MaxPlusMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_zero_cycle_matrices())
+def test_zero_cycle_route_matches_critical_graph_on_random_matrices(m):
+    _assert_same_structure(zero_critical_graph(m), critical_graph(m, max_cycle_mean(m)))
+
+
+def test_critical_graph_star_is_the_star_of_a_zero_mean_matrix():
+    ens = build_ensemble(_p0_generators(5))
+    a = ens.a_sup
+    assert matrices_equal(vars(critical_graph(a, 0.0))["_star"], _star(a))
