@@ -7,16 +7,22 @@ provided the critical digraph is strongly connected and shares the ambient
 digraph's cyclicity (profile P0); it combines optimal path weights, the
 noncritical cycle mean and Schwarz's transient for imprimitive Boolean
 powers.
+
+Every threshold here has the form num / lambda_star + const, with num a
+difference of path weights and const an integer.  The lengths and
+verdicts compare such values exactly.  The threshold tables and
+``threshold_at_k`` are for display: each cell is the float num / lambda_star,
+rounded once, plus const.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from math import isfinite
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .ensemble import Ensemble, path_weights
-from .semiring import MaxPlusMatrix, Scalar, ceil_int, finite_rows, row_product
+from .semiring import MaxPlusMatrix, Number, Scalar, finite_rows, rational, row_product
 from .trellis import Word, first_passage_data
 
 
@@ -43,10 +49,24 @@ def schwarz(gamma: int, n: int) -> int:
     return gamma * wielandt(n // gamma) + n % gamma
 
 
-def _ratio(numerator: float, lam: Optional[float]) -> float:
-    # lam is None encodes eps; the threshold expressions tend to their
-    # finite limit (the numerator term vanishes) in that case.
-    return 0.0 if lam is None else numerator / lam
+def _display(lam: Scalar, const: int) -> Callable[[Number], float]:
+    """num -> num / lam + const for display: the quotient rounded once to a
+    float, then the integer const added.  lam is None encodes eps, where
+    the numerator term vanishes."""
+    if lam is None:
+        return lambda num: float(const)
+    q, p = lam.denominator, lam.numerator
+    return lambda num: float(num * q / p) + const
+
+
+def _largest(nums: Sequence[Number], lam: Scalar, const: int) -> Scalar:
+    """The exact maximum of num / lam + const over ``nums``; None when empty."""
+    if not nums:
+        return None
+    if lam is None:
+        return const
+    num = min(nums) if lam < 0 else max(nums)
+    return rational(num * lam.denominator, lam.numerator) + const
 
 
 @dataclass(frozen=True)
@@ -68,7 +88,7 @@ class WeakBoundResult:
     first_k: Optional[int]
     certified_up_to: int
     threshold_at_k: Optional[float]
-    lambda_star: Optional[float]
+    lambda_star: Scalar
     slack: int
     finite_pairs: int
     diagnostics: tuple[str, ...]
@@ -88,12 +108,16 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
     certified window rather than one incidental length.
 
     The threshold at length k depends only on u^k = a_inf^k, and
-    u^(k+1) = u^k (x) a_inf.  So the scan stops at the first exact repeat
-    u^(T+sigma) == u^T and fills the rest of the window by periodicity,
-    holding the T+sigma-1 distinct powers until then.  When no power
-    repeats within k_max (the infimum's cycle mean is negative, or float
-    rounding keeps the powers drifting) it steps through all k_max lengths
-    and holds all k_max powers.
+    u^(k+1) = u^k (x) a_inf.  So the scan stops at the first repeat
+    u^(T+sigma) == u^T, holding the T+sigma-1 distinct powers until then;
+    from length T on, each threshold repeats with period sigma, and the
+    lengths past the scan follow from one period.  When no power repeats
+    within k_max (the infimum's cycle mean is negative) it steps through
+    all k_max lengths and holds all k_max powers.
+
+    A length k fails when k <= num / lambda_star + slack for some pair, with
+    num = u^k_ij - gamma_ij.  lambda_star < 0, so the least num binds, and
+    the largest failing length is floor(num / lambda_star) + slack.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be positive, got {k_max}")
@@ -118,37 +142,36 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
             finite_pairs=0,
             diagnostics=("every pair of nodes must pass through the critical set",),
         )
-    thresholds: list[Optional[float]] = []
-    # u holds the rows of a_inf^k; each step is the row-sparse product that
-    # mp_multiply(u, a_inf) computes, without building a matrix per length.
+    # least[k-1]: the least u^k_ij - gamma_ij over finite pairs, None when
+    # no pair is finite at length k.  u holds the rows of a_inf^k; each
+    # step is the row-sparse product that mp_multiply(u, a_inf) computes.
     # seen maps every power so far to its exponent.
     inf_rows = finite_rows(ensemble.a_inf)
     u = ensemble.a_inf.data
     seen: dict[tuple[tuple[Scalar, ...], ...], int] = {}
+    least: list[Scalar] = []
     period = None
     for k in range(1, k_max + 1):
         if u in seen:
             period = (seen[u], k - seen[u])
             break
         seen[u] = k
-        worst = None
-        for urow, avoid_row in zip(u, avoid_rows):
-            for j, g in avoid_row:
-                uk = urow[j]
-                if uk is None:
-                    continue
-                value = float(slack) if lam is None else (uk - g) / lam + slack
-                if worst is None or value > worst:
-                    worst = value
-        thresholds.append(worst)
+        nums = [urow[j] - g for urow, avoid_row in zip(u, avoid_rows) for j, g in avoid_row if urow[j] is not None]
+        least.append(min(nums, default=None))
         u = tuple(tuple(row_product(row, inf_rows, n)) for row in u)
-    if period is not None:
-        sigma = period[1]
-        while len(thresholds) < k_max:
-            thresholds.append(thresholds[-sigma])
-    ok = [t is None or k > t for k, t in enumerate(thresholds, start=1)]
-    first_k = next((k for k, good in enumerate(ok, start=1) if good), None)
-    if not ok[-1]:
+
+    # From length T on, the lengths k + m * sigma share the threshold of k.
+    # top: the largest length failing that threshold, capped at k_max.
+    last_fail, first_k = 0, None
+    for k, d in enumerate(least, start=1):
+        step = period[1] if period and k >= period[0] else k_max
+        top = 0 if d is None else min(k_max, slack if lam is None else d * lam.denominator // lam.numerator + slack)
+        if top >= k:
+            last_fail = max(last_fail, top - (top - k) % step)
+        passing = k if top < k else top + 1 + (k - top - 1) % step
+        if passing <= k_max and (first_k is None or passing < first_k):
+            first_k = passing
+    if last_fail == k_max:
         return WeakBoundResult(
             k=None,
             first_k=first_k,
@@ -160,14 +183,15 @@ def weak_csr_bound(ensemble: Ensemble, k_max: int) -> WeakBoundResult:
             diagnostics=(f"the condition still fails at length {k_max}; raise k_max",),
             period=period,
         )
-    stable = k_max
-    while stable > 1 and ok[stable - 2]:
-        stable -= 1
+    at = last_fail + 1
+    if at > len(least):  # past the scan: its class within the period
+        at = period[0] + (at - period[0]) % period[1]
+    d = least[at - 1]
     return WeakBoundResult(
-        k=stable,
+        k=last_fail + 1,
         first_k=first_k,
         certified_up_to=k_max,
-        threshold_at_k=thresholds[stable - 1],
+        threshold_at_k=None if d is None else _display(lam, slack)(d),
         lambda_star=lam,
         slack=slack,
         finite_pairs=finite_pairs,
@@ -184,16 +208,17 @@ class BoundReport:
     critical set plus Schwarz's transient for the critical walk in between;
     branch_avoid[i][j] (finite only where a critical-avoiding path exists)
     is the length beyond which avoiding the critical set is never optimal.
-    The threshold is the largest entry of both tables and ambient_k the
-    least integer length at or above it.
+    The threshold ``bound`` is the exact largest value of both tables and
+    ambient_k the least integer length at or above it; the tables hold the
+    display floats.
     """
 
     profile: str
-    lambda_star: Optional[float]
+    lambda_star: Scalar
     schwarz_term: int
     branch_connect: tuple[tuple[float, ...], ...]
-    branch_avoid: tuple[tuple[Scalar, ...], ...]
-    bound: float
+    branch_avoid: tuple[tuple[Optional[float], ...], ...]
+    bound: Number
     ambient_k: int
 
     def branch_connect_matrix(self) -> MaxPlusMatrix:
@@ -228,30 +253,31 @@ def ambient_csr_bound(ensemble: Ensemble) -> BoundReport:
     connect_const = 2 * (n - q) + sch
     avoid_const = n - q + 1
 
+    connect_cell = _display(lam, connect_const)
+    avoid_cell = _display(lam, avoid_const)
     connect = []
-    avoid: list[list[Scalar]] = []
-    bound = None
+    avoid: list[list[Optional[float]]] = []
+    connect_nums: list[Number] = []
+    avoid_nums: list[Number] = []
     for i in range(n):
         crow = []
-        arow: list[Scalar] = []
+        arow: list[Optional[float]] = []
         for j in range(n):
             u_ij = pw.w_inf[i] + pw.v_inf[j]
-            c_val = _ratio(u_ij - pw.alpha[i] - pw.beta[j], lam) + connect_const
-            crow.append(c_val)
-            if bound is None or c_val > bound:
-                bound = c_val
+            num = u_ij - pw.alpha[i] - pw.beta[j]
+            connect_nums.append(num)
+            crow.append(connect_cell(num))
             g_ij = pw.gamma_avoid.data[i][j]
             if g_ij is None:
                 arow.append(None)
             else:
-                a_val = _ratio(u_ij - g_ij, lam) + avoid_const
-                arow.append(a_val)
-                if a_val > bound:
-                    bound = a_val
+                avoid_nums.append(u_ij - g_ij)
+                arow.append(avoid_cell(u_ij - g_ij))
         connect.append(tuple(crow))
         avoid.append(arow)
-    if not isfinite(bound):
-        raise AssumptionError(f"the ambient bound is {bound}: the weights overflow floating point")
+    bound = _largest(connect_nums, lam, connect_const)
+    if avoid_nums:
+        bound = max(bound, _largest(avoid_nums, lam, avoid_const))
     return BoundReport(
         profile=report.profile,
         lambda_star=lam,
@@ -259,7 +285,7 @@ def ambient_csr_bound(ensemble: Ensemble) -> BoundReport:
         branch_connect=tuple(connect),
         branch_avoid=tuple(tuple(row) for row in avoid),
         bound=bound,
-        ambient_k=max(1, ceil_int(bound)),
+        ambient_k=max(1, math.ceil(bound)),
     )
 
 
@@ -285,7 +311,7 @@ class ValueCheckReport:
     """
 
     k: int
-    implicit_bound: Optional[float]
+    implicit_bound: Scalar
     meets_bound: bool
     mismatches: tuple[EntryMismatch, ...]
 
@@ -311,18 +337,20 @@ def turnpike_value_check(ensemble: Ensemble, word: Word) -> ValueCheckReport:
     prod_mat = terms.product
 
     sch = schwarz(ensemble.critical.global_cyclicity, q)
-    implicit = None
+    connect_nums: list[Number] = []
+    avoid_nums: list[Number] = []
     for i in range(n):
         for j in range(n):
             if w_star[i] is None or v_star[j] is None:
                 continue
             u_star = w_star[i] + v_star[j]
-            cand = _ratio(u_star - pw.alpha[i] - pw.beta[j], lam) + 2 * (n - q) + sch
+            connect_nums.append(u_star - pw.alpha[i] - pw.beta[j])
             g_ij = pw.gamma_avoid.data[i][j]
             if g_ij is not None:
-                cand = max(cand, _ratio(u_star - g_ij, lam) + (n - q + 1))
-            if implicit is None or cand > implicit:
-                implicit = cand
+                avoid_nums.append(u_star - g_ij)
+    implicit = _largest(connect_nums, lam, 2 * (n - q) + sch)
+    if avoid_nums:
+        implicit = max(implicit, _largest(avoid_nums, lam, n - q + 1))
 
     mismatches = []
     for i in range(n):
@@ -335,7 +363,7 @@ def turnpike_value_check(ensemble: Ensemble, word: Word) -> ValueCheckReport:
                 mismatches.append(
                     EntryMismatch(i, j, prod_mat.data[i][j], expected, csr_mat.data[i][j])
                 )
-    meets = implicit is None or k >= implicit - 1e-9
+    meets = implicit is None or k >= implicit
     return ValueCheckReport(
         k=k,
         implicit_bound=implicit,

@@ -6,9 +6,11 @@ paper-repro.  Ensembles travel as JSON objects of the form
 ``null`` for eps entries.  Exit codes: 0 success, 1 verification failure,
 2 input or precondition error.
 
-All output is rendered by a deterministic JSON writer: integers print
+All output is rendered by a deterministic JSON writer: every number is
+converted to the nearest float once, integral values below 1e15 print
 without a decimal point, other numbers with 17 significant digits, and key
-order is fixed, so identical inputs yield identical bytes.
+order is fixed, so identical inputs yield identical bytes.  A value beyond
+the float range cannot be written and exits 2.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import AssumptionError, ambient_csr_bound, weak_csr_bound
@@ -25,6 +28,10 @@ from .ensemble import Ensemble, EnsembleError, build_ensemble
 from .semiring import DivergenceError, MaxPlusMatrix, ShapeError, mp_power
 from .trellis import Word, first_passage_weights
 
+#: Longest family word ``counterexample`` builds: (1)^(modulus*t + offset) 2.
+MAX_WORD_LETTERS = 1_000_000
+
+
 def _render_string(s: str) -> str:
     return json.dumps(s, ensure_ascii=False)
 
@@ -32,11 +39,10 @@ def _render_string(s: str) -> str:
 def _render_number(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, int):
-        return str(x)
+    x = float(x)  # OverflowError beyond the float range
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite number {x} cannot be serialised")
-    if float(x).is_integer() and abs(x) < 1e15:
+    if x.is_integer() and abs(x) < 1e15:
         return str(int(x))
     return format(x, ".17g")
 
@@ -46,7 +52,7 @@ def render_json(obj, indent: int = 0) -> str:
     inner = "  " * (indent + 1)
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, int, float)):
+    if isinstance(obj, (bool, int, float, Fraction)):
         return _render_number(obj)
     if isinstance(obj, str):
         return _render_string(obj)
@@ -98,7 +104,7 @@ def _write(path: str, text: str) -> None:
 def _render(payload: dict) -> str:
     try:
         return render_json(payload) + "\n"
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"the weights overflow floating point: {exc}") from exc
 
 
@@ -146,6 +152,8 @@ def _cmd_bounds(args) -> int:
     except (AssumptionError, DivergenceError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except OverflowError as exc:
+        raise InputError(f"the weights overflow floating point: {exc}") from exc
     payload = {
         "profile": ambient.profile,
         "lambda_star": ambient.lambda_star,
@@ -240,6 +248,12 @@ def _cmd_counterexample(args) -> int:
     t_min = min(cls.t_min for cls in family.word_classes)
     if args.t < t_min:
         raise InputError(f"family {family.family_id} needs --t >= {t_min}, got {args.t}")
+    t_max = min((MAX_WORD_LETTERS - 1 - cls.offset) // cls.modulus for cls in family.word_classes)
+    if args.t > t_max:
+        raise InputError(
+            f"family {family.family_id} builds words of at most {MAX_WORD_LETTERS} letters, "
+            f"so --t must be at most {t_max}, got {args.t}"
+        )
     report = verify_family(family, [args.t])
     classes = [
         {

@@ -29,12 +29,17 @@ def _eps_grid(n: int) -> list[list[Scalar]]:
     return [[None] * n for _ in range(n)]
 
 
+def _matrix(grid: list[list[Scalar]]) -> MaxPlusMatrix:
+    """The square matrix of a grid of exact values (no entry is re-parsed)."""
+    return MaxPlusMatrix(len(grid), len(grid), tuple(map(tuple, grid)))
+
+
 def structure_matrix(n: int, edges) -> MaxPlusMatrix:
     """n-by-n matrix with 0 on the given edges and eps everywhere else."""
     grid = _eps_grid(n)
     for u, v in edges:
-        grid[u][v] = 0.0
-    return MaxPlusMatrix.from_rows(grid)
+        grid[u][v] = 0
+    return _matrix(grid)
 
 
 def periodicity_threshold(s: MaxPlusMatrix, gamma: int) -> int:
@@ -132,8 +137,8 @@ def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
         t_exponent=t,
         v_exponent=v,
         s_global=structure_matrix(n, sorted(crit.critical_edges)),
-        c_global=MaxPlusMatrix.from_rows(c_grid),
-        r_global=MaxPlusMatrix.from_rows(r_grid),
+        c_global=_matrix(c_grid),
+        r_global=_matrix(r_grid),
         class_maxima=maxima,
     )
 
@@ -151,7 +156,7 @@ def _factors(terms: CsrTerms, maxima: Sequence[ClassMaxima]) -> tuple[MaxPlusMat
         for grid_row, value in zip(c_grid, column):
             grid_row[rep] = value
         r_grid[rep] = row
-    return MaxPlusMatrix.from_rows(c_grid), MaxPlusMatrix.from_rows(r_grid)
+    return _matrix(c_grid), _matrix(r_grid)
 
 
 def csr_product(terms: CsrTerms) -> MaxPlusMatrix:

@@ -12,19 +12,17 @@ successor lists, the cyclicity routines a ``(nodes, edges)`` pair.
 
 The critical edges come by one of two routes, and both hand them to one
 shared tail that builds the components, cyclic classes and ambient
-structure.  ``critical_graph`` is the general route: the star of the
-matrix normalised by its cycle mean, one product and a test of every edge
-against ``TOL``; it is bit-exact on any floats and is the referee.
-``zero_critical_graph`` is the route for exact data: every finite entry an
-integer-valued float <= 0 other than -0.0, and n max|entry| < 2**53, which
-the caller checks.  There every walk sum is an exact integer, so a cycle
-is critical exactly when its mean is 0, that is when every edge on it is
-0, and the critical edges are the zero edges inside the strongly connected
-components of the zero-edge subgraph: one Tarjan pass, with no star,
-product or cycle mean.  It inserts those edges in the row-major order the
-general route uses, so the two give equal sets that also iterate alike.
-It returns None when the matrix has no zero cycle (cycle mean below 0);
-the caller then takes the general route.
+structure.  ``critical_graph`` is the general route and the referee: the
+star of the matrix normalised by its cycle mean, one product and an exact
+test of every edge.  ``zero_critical_graph`` is the route for a matrix
+whose finite entries are all <= 0 (the caller checks this).  There a
+cycle is critical exactly when its mean is 0, that is when every edge on
+it is 0, and the critical edges are the zero edges inside the strongly
+connected components of the zero-edge subgraph: one Tarjan pass, with no
+star, product or cycle mean.  It inserts those edges in the row-major
+order the general route uses, so the two give equal sets that also iterate
+alike.  It returns None when the matrix has no zero cycle (cycle mean
+below 0); the caller then takes the general route.
 """
 
 from __future__ import annotations
@@ -33,16 +31,16 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .semiring import TOL, MaxPlusMatrix, _star, finite_rows, mp_multiply
+from .semiring import MaxPlusMatrix, Number, _star, finite_rows, mp_multiply, rational
 
 
-def _weighted_successors(a: MaxPlusMatrix) -> list[list[tuple[int, float]]]:
+def _weighted_successors(a: MaxPlusMatrix) -> list[list[tuple[int, Number]]]:
     if not a.is_square:
         raise ValueError(f"an associated digraph needs a square matrix, got {a.rows}x{a.cols}")
     return finite_rows(a)
 
 
-def _targets(rows: Sequence[Sequence[tuple[int, float]]]) -> list[list[int]]:
+def _targets(rows: Sequence[Sequence[tuple[int, Number]]]) -> list[list[int]]:
     return [[v for v, _ in row] for row in rows]
 
 
@@ -108,14 +106,16 @@ def _nontrivial(component: list[int], edge_set: set[tuple[int, int]]) -> bool:
     return len(component) > 1 or (component[0], component[0]) in edge_set
 
 
-def max_cycle_mean(a: MaxPlusMatrix) -> Optional[float]:
+def max_cycle_mean(a: MaxPlusMatrix) -> Optional[Number]:
     """Largest mean weight over all cycles; None (eps) for an acyclic digraph.
 
     Karp's dynamic program is run separately inside each strongly connected
-    component, and the maximum over components is returned.
+    component, and the maximum over components is returned.  Its ratios
+    (full - part) / (m - k) are compared by cross-multiplication, and only
+    the result is built as a rational.
     """
     rows = _weighted_successors(a)
-    best: Optional[float] = None
+    best: Optional[tuple[Number, int]] = None
     for comp in strongly_connected_components(_targets(rows)):
         if len(comp) == 1 and a.data[comp[0]][comp[0]] is None:
             continue
@@ -123,8 +123,8 @@ def max_cycle_mean(a: MaxPlusMatrix) -> Optional[float]:
         m = len(comp)
         local_edges = [(pos[u], pos[v], w) for u in comp for v, w in rows[u] if v in pos]
         # walk_best[k][v]: best weight of a length-k walk from comp[0] to v
-        walk_best: list[list[Optional[float]]] = [[None] * m for _ in range(m + 1)]
-        walk_best[0][0] = 0.0
+        walk_best: list[list[Optional[Number]]] = [[None] * m for _ in range(m + 1)]
+        walk_best[0][0] = 0
         for k in range(1, m + 1):
             prev, cur = walk_best[k - 1], walk_best[k]
             for u, v, w in local_edges:
@@ -138,17 +138,18 @@ def max_cycle_mean(a: MaxPlusMatrix) -> Optional[float]:
             full = walk_best[m][v]
             if full is None:
                 continue
+            # worst = (num, den), the least ratio (full - part) / (m - k)
             worst = None
             for k in range(m):
                 part = walk_best[k][v]
                 if part is None:
                     continue
-                ratio = (full - part) / (m - k)
-                if worst is None or ratio < worst:
-                    worst = ratio
-            if worst is not None and (best is None or worst > best):
+                num, den = full - part, m - k
+                if worst is None or num * worst[1] < worst[0] * den:
+                    worst = (num, den)
+            if worst is not None and (best is None or worst[0] * best[1] > best[0] * worst[1]):
                 best = worst
-    return best
+    return None if best is None else rational(*best)
 
 
 def cyclicity(nodes: Iterable[int], edges: Sequence[tuple[int, int]]) -> int:
@@ -237,7 +238,7 @@ class CriticalComponent:
 class CriticalStructure:
     """Critical digraph of a matrix plus the ambient cyclic structure."""
 
-    lam: float
+    lam: Number
     critical_nodes: frozenset[int]
     critical_edges: frozenset[tuple[int, int]]
     components: tuple[CriticalComponent, ...]
@@ -278,16 +279,15 @@ class CriticalStructure:
         }
 
 
-def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
+def critical_graph(a: MaxPlusMatrix, lam: Number) -> CriticalStructure:
     """Critical nodes, edges, components and cyclic classes of a matrix's digraph.
 
     After normalising all weights by -lam, an edge (i, j) is critical
     exactly when a_ij plus the optimal return weight j -> i is zero, and the
     critical nodes are those of the nontrivial strongly connected components
-    of the critical edges.  Only the edge test reads a tolerance, so on float
-    data every critical node lies on a cycle of critical edges.  ``lam``
-    must be the matrix's own maximum cycle mean, so the normalised matrix
-    has cycle mean zero and its star needs no convergence check.
+    of the critical edges.  ``lam`` must be the matrix's own maximum cycle
+    mean, so the normalised matrix has cycle mean zero and its star needs
+    no convergence check.
 
     The star of the normalised matrix is kept in the returned structure's
     ``__dict__`` under ``_star`` (not a field: equality and ``repr`` ignore
@@ -295,7 +295,7 @@ def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
     starring the same matrix again.
     """
     rows = _weighted_successors(a)
-    if lam is None or not math.isfinite(lam):
+    if lam is None:
         raise ValueError("critical structure needs a finite maximum cycle mean")
     normalized = a.shift(-lam)
     star = _star(normalized)
@@ -305,7 +305,7 @@ def critical_graph(a: MaxPlusMatrix, lam: float) -> CriticalStructure:
         (u, v)
         for u, row in enumerate(finite_rows(normalized))
         for v, w in row
-        if plus[v][u] is not None and w + plus[v][u] >= -TOL
+        if plus[v][u] is not None and w + plus[v][u] == 0
     )
     structure = _structure(rows, lam, crit_edges)
     structure.__dict__["_star"] = star
@@ -325,23 +325,22 @@ def zero_cycle_edges(a: MaxPlusMatrix) -> frozenset[tuple[int, int]]:
 
 
 def zero_critical_graph(a: MaxPlusMatrix) -> Optional[CriticalStructure]:
-    """``critical_graph(a, 0.0)`` on exact data, read off the cycles of zero
-    edges; None when there is none.
+    """``critical_graph(a, 0)`` for a matrix whose finite entries are all
+    <= 0 (the caller's check), read off the cycles of zero edges; None when
+    there is none.
 
-    Exact data: every finite entry an integer-valued float <= 0 other than
-    -0.0, and n max|entry| < 2**53 (the caller's check).  Then the cycle
-    mean is 0 exactly when some cycle has only zero edges, Karp returns
-    exactly 0.0 for it, and the general route's edge test holds exactly on
-    the edges of such cycles.
+    On such a matrix the cycle mean is 0 exactly when some cycle has only
+    zero edges, and the general route's edge test holds exactly on the
+    edges of such cycles.
     """
     crit_edges = zero_cycle_edges(a)
     if not crit_edges:
         return None
-    return _structure(finite_rows(a), 0.0, crit_edges)
+    return _structure(finite_rows(a), 0, crit_edges)
 
 
 def _structure(
-    rows: Sequence[Sequence[tuple[int, float]]], lam: float, crit_edges: frozenset[tuple[int, int]]
+    rows: Sequence[Sequence[tuple[int, Number]]], lam: Number, crit_edges: frozenset[tuple[int, int]]
 ) -> CriticalStructure:
     """Components, cyclic classes and ambient structure around the critical edges."""
     n = len(rows)

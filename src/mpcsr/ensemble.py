@@ -11,29 +11,21 @@ supremum with critical rows and columns removed, and its cycle mean.
 The working assumptions are reported, not enforced: construction only
 aborts on structural impossibilities (shape mismatch, a generator without
 cycles, or a node that cannot reach the critical set while a rescaling is
-required) and on float overflow to a cycle mean or visualised entry that
-is not finite.
+required).
 
 The critical structure of the normalised supremum, which the visualisation
-reads, comes from ``critical_graph``; when its cycle mean is +0.0 the star
+reads, comes from ``critical_graph``; when its cycle mean is 0 the star
 that ``critical_graph`` computed is the star of the supremum itself, and
-the visualisation reuses it.  After visualisation the build reads one
-exactness predicate off the visualised generators (``exactness``): whether
-every finite entry is <= 0, and their largest |entry| when every one is an
-integer-valued float other than -0.0.  When both hold and n times that
-scale is below 2**53, every walk sum the critical routes form is an exact
-integer, so the critical digraphs of the supremum and of each generator
-are read off their cycles of zero edges (``zero_critical_graph``), with no
-star and no cycle mean; the result is the one ``critical_graph`` gives, bit
-for bit.  A matrix without a zero cycle, and all other data, take
-``critical_graph`` with Karp's cycle mean as before.  The word-product
-fold reads the same predicate (``trellis._adjacency``).
+the visualisation reuses it.  When every finite visualised entry is <= 0,
+the critical digraphs of the supremum and of each generator are read off
+their cycles of zero edges (``zero_critical_graph``), with no star and no
+cycle mean.  A matrix without a zero cycle, and a family with a positive
+visualised entry, take ``critical_graph`` with Karp's cycle mean.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import copysign, isfinite
 from typing import Iterable, Optional, Sequence
 
 from .digraph import (
@@ -45,8 +37,8 @@ from .digraph import (
     zero_cycle_edges,
 )
 from .semiring import (
-    TOL,
     MaxPlusMatrix,
+    Number,
     Scalar,
     _star,
     entrywise_inf,
@@ -100,11 +92,11 @@ class Ensemble:
 
     generators: tuple[MaxPlusMatrix, ...]
     normalized: tuple[MaxPlusMatrix, ...]
-    visualisation_vector: tuple[float, ...]
+    visualisation_vector: tuple[Number, ...]
     a_sup: MaxPlusMatrix
     a_inf: MaxPlusMatrix
     b_sup: MaxPlusMatrix
-    lambda_star: Optional[float]
+    lambda_star: Scalar
     critical: CriticalStructure
     assumption_report: AssumptionReport
 
@@ -143,9 +135,9 @@ def _is_visualised(mats: Sequence[MaxPlusMatrix], crit: CriticalStructure) -> bo
             for j, v in enumerate(row):
                 if v is None:
                     continue
-                if v > TOL:
+                if v > 0:
                     return False
-                if (i, j) in crit.critical_edges and abs(v) > TOL:
+                if (i, j) in crit.critical_edges and v != 0:
                     return False
     return True
 
@@ -155,39 +147,11 @@ def _top(values: Iterable[Scalar]) -> Scalar:
     return max((v for v in values if v is not None), default=None)
 
 
-def _cycle_mean(m: MaxPlusMatrix, what: str) -> Optional[float]:
-    """Karp's cycle mean of ``m``, rejected when float overflow made it infinite or NaN."""
-    lam = max_cycle_mean(m)
-    if lam is not None and not isfinite(lam):
-        raise EnsembleError(f"{what} has cycle mean {lam}: its weights overflow floating point")
-    return lam
-
-
-def _entry_profile(mats: Sequence[MaxPlusMatrix]) -> tuple[bool, Optional[float]]:
-    values = [v for m in mats for row in m.data for v in row if v is not None]
-    exact = all(v.is_integer() and (v != 0 or copysign(1.0, v) > 0) for v in values)
-    return all(v <= 0 for v in values), max(map(abs, values), default=0.0) if exact else None
-
-
-def exactness(ensemble: "Ensemble") -> tuple[bool, Optional[float]]:
-    """Whether every finite visualised entry is <= 0, and their largest
-    |entry| when the entries are exact (integer-valued floats other than
-    -0.0), else None.
-
-    ``build_ensemble`` computes this once and keeps it on the ensemble
-    instance, as ``path_weights`` is kept; an ensemble made another way
-    (``dataclasses.replace``) computes it on the first call.
-    """
-    cached = ensemble.__dict__.get("_exactness")
-    if cached is None:
-        cached = ensemble.__dict__["_exactness"] = _entry_profile(ensemble.normalized)
-    return cached
-
-
-def _critical(m: MaxPlusMatrix, exact: bool, what: str) -> CriticalStructure:
-    """The critical structure of ``m``: off its zero cycles on exact data
-    when it has one, else by ``critical_graph`` at Karp's cycle mean."""
-    return (zero_critical_graph(m) if exact else None) or critical_graph(m, _cycle_mean(m, what))
+def _critical(m: MaxPlusMatrix, nonpositive: bool) -> CriticalStructure:
+    """The critical structure of ``m``: off its zero cycles when every
+    finite entry is <= 0 and it has one, else by ``critical_graph`` at
+    Karp's cycle mean."""
+    return (zero_critical_graph(m) if nonpositive else None) or critical_graph(m, max_cycle_mean(m))
 
 
 def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
@@ -203,20 +167,19 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
 
     normalized = []
     for idx, g in enumerate(generators):
-        lam = _cycle_mean(g, f"generator {idx}")
+        lam = max_cycle_mean(g)
         if lam is None:
             raise EnsembleError(f"generator {idx} has no cycles; its cycle mean is eps")
         normalized.append(g.shift(-lam))
 
     a_sup0 = entrywise_sup(normalized)
-    lam_sup0 = _cycle_mean(a_sup0, "the normalised supremum")
+    lam_sup0 = max_cycle_mean(a_sup0)
     crit0 = critical_graph(a_sup0, lam_sup0)
 
-    x = (0.0,) * n
-    if abs(lam_sup0) <= TOL and not _is_visualised(normalized + [a_sup0], crit0):
-        # critical_graph starred a_sup0 shifted by -lam_sup0, which changes
-        # no entry when lam_sup0 is +0.0.
-        star = crit0.__dict__["_star"] if lam_sup0 == 0 and copysign(1.0, lam_sup0) > 0 else _star(a_sup0)
+    x = (0,) * n
+    if lam_sup0 == 0 and not _is_visualised(normalized + [a_sup0], crit0):
+        # critical_graph starred a_sup0 shifted by -lam_sup0 = 0: its star.
+        star = crit0.__dict__["_star"]
         scaled = []
         for i in range(n):
             best = _top(star.data[i][c] for c in sorted(crit0.critical_nodes))
@@ -229,20 +192,17 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
         normalized = [m.diagonal_similarity(x) for m in normalized]
 
     visualised = tuple(normalized)
-    if any(v is not None and not isfinite(v) for m in visualised for row in m.data for v in row):
-        raise EnsembleError("visualised entries overflow floating point")
-    nonpositive, scale = profile = _entry_profile(visualised)
-    exact = nonpositive and scale is not None and n * scale < 2.0**53
+    nonpositive = all(v is None or v <= 0 for m in visualised for row in m.data for v in row)
     a_sup = entrywise_sup(visualised)
     a_inf = entrywise_inf(visualised)
-    crit = _critical(a_sup, exact, "the supremum")
+    crit = _critical(a_sup, nonpositive)
 
     noncritical = [i for i in range(n) if i not in crit.critical_nodes]
     b_sup = a_sup.mask(noncritical) if noncritical else MaxPlusMatrix.epsilon(n, n)
-    lambda_star = _cycle_mean(b_sup, "the noncritical supremum")
+    lambda_star = max_cycle_mean(b_sup)
 
-    report = _assess(visualised, a_sup, a_inf, crit, exact)
-    ensemble = Ensemble(
+    report = _assess(visualised, a_sup, a_inf, crit, nonpositive)
+    return Ensemble(
         generators=tuple(generators),
         normalized=visualised,
         visualisation_vector=x,
@@ -253,8 +213,6 @@ def build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
         critical=crit,
         assumption_report=report,
     )
-    ensemble.__dict__["_exactness"] = profile
-    return ensemble
 
 
 def _assess(
@@ -262,16 +220,15 @@ def _assess(
     a_sup: MaxPlusMatrix,
     a_inf: MaxPlusMatrix,
     crit: CriticalStructure,
-    exact: bool,
+    nonpositive: bool,
 ) -> AssumptionReport:
     notes: list[str] = []
 
     # Only each generator's critical edges are compared: both routes take
     # the critical nodes from the nontrivial components of those edges.
     edge_sets = [
-        (zero_cycle_edges(m) if exact else None)
-        or critical_graph(m, _cycle_mean(m, f"visualised generator {idx}")).critical_edges
-        for idx, m in enumerate(mats)
+        (zero_cycle_edges(m) if nonpositive else None) or critical_graph(m, max_cycle_mean(m)).critical_edges
+        for m in mats
     ]
     irU = all(is_irreducible(m) for m in mats)
     if not irU:
@@ -293,7 +250,7 @@ def _assess(
         notes.append("the entrywise infimum loses edges of the common digraph")
 
     lam_sup = crit.lam
-    d1 = abs(lam_sup) <= TOL
+    d1 = lam_sup == 0
     if not d1:
         notes.append(f"supremum matrix has cycle mean {lam_sup}, not zero")
 

@@ -1,43 +1,38 @@
 """Exact max-plus (tropical) scalar and matrix arithmetic.
 
-The semiring works over the reals extended with ``eps`` (the additive
+The semiring works over the rationals extended with ``eps`` (the additive
 identity, conventionally minus infinity).  ``eps`` is represented by
-``None`` rather than ``float("-inf")`` so that absorption is explicit and no
-arithmetic can ever produce a NaN: ``eps (+) x = x`` and ``eps (*) x = eps``
-hold by construction for every ``x``.
+``None`` so that absorption is explicit: ``eps (+) x = x`` and
+``eps (*) x = eps`` hold by construction for every ``x``.
 
-Matrices are immutable, dense, and row-major.  All entries are either
-finite floats or ``None``; ``from_rows`` rejects anything else.
-Integer-valued inputs stay exact because float addition of integers below
-2**53 is exact.
+Every finite value is exact: a Python ``int`` when it is integral and a
+``fractions.Fraction`` otherwise.  ``from_rows`` turns an integer-valued
+float into an ``int`` and any other float into the Fraction of its
+shortest decimal repr, so 0.1 is 1/10; a shift or conjugation by a
+Fraction turns every Fraction with denominator 1 back into an ``int``.
+Integer data therefore stay on ``int`` in every kernel, and sums,
+comparisons and the CSR verdicts built on them involve no rounding.
+Values become floats only when they are written out.
 
-The kernels work on row-adjacency lists of the finite entries.  The
-product walks them in i-k-j order, and the Kleene star runs a per-source
-frontier relaxation on them instead of summing powers.  Neither reorders a
-float sum: the product visits each entry's candidates in ascending k and
-keeps the first maximum, and every star value is a walk summed left to
-right, as in the powers.  Float addition is monotone, so the maximum over
-the same sums is the same float, and both kernels return bit for bit what
-the dense product and the truncated power series return, also on
-non-integer data.  A closure that splits walks at an intermediate node
-(Floyd-Warshall) adds sub-walks in another order and would not.
+Matrices are immutable, dense, and row-major.  The kernels work on
+row-adjacency lists of the finite entries.  The product walks them in i-k-j
+order, and the Kleene star runs a per-source frontier relaxation on them
+instead of summing powers.
 """
 
 from __future__ import annotations
 
-import math
-from math import isfinite
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from fractions import Fraction
+from math import isfinite
+from typing import Iterable, Optional, Sequence, Union
 
-Scalar = Optional[float]
+#: A finite value: an int when integral, else a Fraction.
+Number = Union[int, Fraction]
+Scalar = Optional[Number]
 
 #: Additive identity of the semiring (read: minus infinity).
 EPS: Scalar = None
-
-#: Tolerance used when a quantity must be compared against zero (cycle
-#: means accumulate one rounding error per edge, never more than this).
-TOL = 1e-9
 
 
 class ShapeError(ValueError):
@@ -64,20 +59,32 @@ def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
     return a + b
 
 
+def rational(num: Number, den: Number = 1) -> Number:
+    """num / den exactly: an int when it is integral, else a Fraction."""
+    q = Fraction(num, den)
+    return q.numerator if q.denominator == 1 else q
+
+
 def _coerce(value) -> Scalar:
     if value is None:
         return None
-    kind = type(value)  # exact: bool cannot be subclassed, and floats skip the checks below
-    if kind is not float:
-        if kind is bool or not isinstance(value, (int, float)):
-            raise ShapeError(f"matrix entries must be numbers or null (eps), got {value!r}")
-        try:
-            value = float(value)
-        except OverflowError:
-            value = math.inf
-    if not isfinite(value):
+    kind = type(value)  # exact: bool cannot be subclassed
+    if kind is float and value.is_integer():  # False for inf and nan
+        return int(value)
+    if kind is bool or not isinstance(value, (int, float, Fraction)):
+        raise ShapeError(f"matrix entries must be numbers or null (eps), got {value!r}")
+    try:
+        finite = isfinite(value)
+    except OverflowError:  # an int or Fraction beyond the float range
+        finite = False
+    if not finite:
         raise ShapeError(f"matrix entries must be finite, got {value!r}")
-    return value
+    if kind is int:
+        return value
+    if isinstance(value, float):
+        value = float(value)
+        return int(value) if value.is_integer() else Fraction(repr(value))
+    return int(value) if isinstance(value, int) else rational(value)
 
 
 @dataclass(frozen=True)
@@ -105,7 +112,7 @@ class MaxPlusMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "MaxPlusMatrix":
-        return cls(n, n, tuple(tuple(0.0 if i == j else None for j in range(n)) for i in range(n)))
+        return cls(n, n, tuple(tuple(0 if i == j else None for j in range(n)) for i in range(n)))
 
     @classmethod
     def epsilon(cls, rows: int, cols: int) -> "MaxPlusMatrix":
@@ -166,26 +173,21 @@ class MaxPlusMatrix:
 
     # -- entrywise rebuilds ---------------------------------------------
 
-    def shift(self, delta: float) -> "MaxPlusMatrix":
+    def shift(self, delta: Number) -> "MaxPlusMatrix":
         """Add ``delta`` to every finite entry (tropical scaling by a scalar)."""
-        return MaxPlusMatrix(
-            self.rows,
-            self.cols,
-            tuple(tuple(None if v is None else v + delta for v in row) for row in self.data),
-        )
+        data = tuple(tuple(None if v is None else v + delta for v in row) for row in self.data)
+        return MaxPlusMatrix(self.rows, self.cols, _integral(data) if type(delta) is Fraction else data)
 
-    def diagonal_similarity(self, x: Sequence[float]) -> "MaxPlusMatrix":
+    def diagonal_similarity(self, x: Sequence[Number]) -> "MaxPlusMatrix":
         """Conjugate by diag(x): entry (i, j) becomes a_ij - x_i + x_j."""
         if not self.is_square or len(x) != self.rows:
             raise ShapeError("similarity vector length must match a square matrix")
-        return MaxPlusMatrix(
-            self.rows,
-            self.cols,
-            tuple(
-                tuple(None if v is None else v - x[i] + x[j] for j, v in enumerate(row))
-                for i, row in enumerate(self.data)
-            ),
+        data = tuple(
+            tuple(None if v is None else v - x[i] + x[j] for j, v in enumerate(row))
+            for i, row in enumerate(self.data)
         )
+        fractional = any(type(v) is Fraction for v in x)
+        return MaxPlusMatrix(self.rows, self.cols, _integral(data) if fractional else data)
 
     def mask(self, keep: Iterable[int]) -> "MaxPlusMatrix":
         """Replace every row and column outside ``keep`` with eps."""
@@ -203,13 +205,20 @@ class MaxPlusMatrix:
         return mp_multiply(self, other)
 
 
-def finite_rows(m: MaxPlusMatrix) -> list[list[tuple[int, float]]]:
+def _integral(data: tuple[tuple[Scalar, ...], ...]) -> tuple[tuple[Scalar, ...], ...]:
+    """``data`` with every Fraction whose denominator is 1 turned into an int."""
+    return tuple(
+        tuple(v.numerator if type(v) is Fraction and v.denominator == 1 else v for v in row) for row in data
+    )
+
+
+def finite_rows(m: MaxPlusMatrix) -> list[list[tuple[int, Number]]]:
     """Row-adjacency lists: the finite entries of each row as (column, value)."""
     return [[(j, v) for j, v in enumerate(row) if v is not None] for row in m.data]
 
 
 def row_product(
-    row: Sequence[Scalar], b_rows: Sequence[Sequence[tuple[int, float]]], cols: int
+    row: Sequence[Scalar], b_rows: Sequence[Sequence[tuple[int, Number]]], cols: int
 ) -> list[Scalar]:
     """One row of a tropical product, ``row (x) b``, with ``b`` given as its ``finite_rows``.
 
@@ -301,7 +310,7 @@ def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
 
     Requires a nonpositive maximum cycle mean; then optimal walks shed their
     cycles, so walks of length at most n-1 realise every star entry.  Raises
-    ``DivergenceError`` when Karp's cycle mean exceeds ``TOL``.
+    ``DivergenceError`` when Karp's cycle mean is positive.
     """
     if not a.is_square:
         raise ShapeError("star needs a square matrix")
@@ -310,7 +319,7 @@ def kleene_star(a: MaxPlusMatrix) -> MaxPlusMatrix:
     from .digraph import max_cycle_mean
 
     lam = max_cycle_mean(a)
-    if lam is not None and lam > TOL:
+    if lam is not None and lam > 0:
         raise DivergenceError(f"maximum cycle mean {lam} is positive; the star series diverges")
     return _star(a)
 
@@ -323,18 +332,15 @@ def _star(a: MaxPlusMatrix) -> MaxPlusMatrix:
     improved in round r-1, using their values from the end of that round.
     After round r a node therefore holds the best walk of length at most r,
     so the n-1 round cap (with an early stop once nothing improves) keeps
-    the truncation of the power series.  Every candidate is ``best[x] +
-    a[x][j]``, so each value is a walk summed left to right, just as the
-    powers sum it; float addition is monotone, so the maximum over these
-    sums is the same float as the power series gives, on any input.
+    the truncation of the power series.
     """
     n = a.rows
     adjacency = finite_rows(a)
     out = []
     for source in range(n):
         best: list[Scalar] = [None] * n
-        best[source] = 0.0
-        frontier = [(source, 0.0)]
+        best[source] = 0
+        frontier = [(source, 0)]
         for _ in range(n - 1):
             improved: dict[int, None] = {}
             for x, bx in frontier:
@@ -367,8 +373,3 @@ def first_difference(a: MaxPlusMatrix, b: MaxPlusMatrix) -> Optional[tuple[int, 
             if a.data[i][j] != b.data[i][j]:
                 return (i, j)
     return None
-
-
-def ceil_int(x: float) -> int:
-    """Ceiling that forgives sub-tolerance float dirt just above an integer."""
-    return math.ceil(x - TOL)

@@ -19,26 +19,17 @@ of the visualised generators is <= 0 (one flag per ensemble, which covers
 the transposes too), a walk can only lose weight as it goes on, so a
 partial walk no heavier than the best first passage found so far is
 dropped.  A start with no partial walk left is done, and the fold stops
-when every start is.  This is bit-exact on floats, not only on exact
-data: round-to-nearest is monotone, so fl(x + a) <= x for a <= 0, and a
-candidate grown from a dropped walk is never strictly heavier than the
-best, which is all that replaces it.  Without the flag nothing is dropped
-on weight.
+when every start is.  Without the flag nothing is dropped on weight.
 
 The word product is a left fold that may switch to the factored form past
 the CSR onset.  When the prefix product G(l) is CSR, it equals C' (*) R'
 with one column of C' and one row of R' per critical cyclic class (r rows
-in all), so G(l + m) = C' (*) (R' (*) A_(l+1) (*) ... (*) A_(l+m)).  Regrouping
-float sums is not bit-exact in general, so the switch needs exact data:
-every finite visualised entry an integer-valued float other than -0.0 (the
-ensemble's ``exactness``, computed once by the build), and
-2 k max|entry| < 2**53 for a word of length k.  Then every sum of at most
-2k entries is an exact integer and the product is associative.  The fold
-tests the prefix at l = 8, 16, 32, ... (never at the last letter), carries
-the r rows of R' from the first l that passes, and expands C' (*) R' once
-at the end.  On other data, without a critical class, or when no test
-passes, the plain fold runs letter by letter.  Either way the product is
-the one the plain fold gives.
+in all), so G(l + m) = C' (*) (R' (*) A_(l+1) (*) ... (*) A_(l+m)), by
+associativity of the exact product.  The fold tests the prefix at
+l = 8, 16, 32, ... (never at the last letter), carries the r rows of R'
+from the first l that passes, and expands C' (*) R' once at the end.
+Without a critical class, or when no test passes, the plain fold runs
+letter by letter.  Either way the product is the one the plain fold gives.
 
 Both folds read the row-adjacency lists (``finite_rows``) of every
 generator and of its transpose, built once per ensemble and kept on it.
@@ -52,12 +43,11 @@ dies with its ensemble.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 from typing import Optional, Sequence
 
 from .digraph import CriticalComponent
-from .ensemble import Ensemble, EnsembleError, exactness, path_weights
-from .semiring import MaxPlusMatrix, Scalar, finite_rows, row_product
+from .ensemble import Ensemble, path_weights
+from .semiring import MaxPlusMatrix, Scalar, finite_rows, rational, row_product
 
 
 @dataclass(frozen=True)
@@ -112,18 +102,16 @@ class WalkLengthReport:
     """
 
     k: int
-    lambda_star: Optional[float]
+    lambda_star: Scalar
     w_lengths: tuple[Optional[int], ...]
     v_lengths: tuple[Optional[int], ...]
-    w_bounds: tuple[Optional[float], ...]
-    v_bounds: tuple[Optional[float], ...]
+    w_bounds: tuple[Scalar, ...]
+    v_bounds: tuple[Scalar, ...]
 
 
-def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool, Optional[float]]:
+def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool]:
     """``finite_rows`` of every visualised generator and of its transpose,
-    then the ensemble's ``exactness``: whether every finite entry is <= 0
-    (a transpose has the same ones), and the largest |entry| when the data
-    are exact.
+    and whether every finite entry is <= 0 (a transpose has the same ones).
 
     Built on the first call and kept on the ensemble instance.
     """
@@ -131,10 +119,11 @@ def _adjacency(ensemble: Ensemble) -> tuple[list, list, bool, Optional[float]]:
     if cached is None:
         gens = ensemble.normalized
         n = ensemble.size
+        rows = [finite_rows(g) for g in gens]
         cached = ensemble.__dict__["_adjacency"] = (
-            [finite_rows(g) for g in gens],
+            rows,
             [finite_rows(MaxPlusMatrix(n, n, tuple(zip(*g.data)))) for g in gens],
-            *exactness(ensemble),
+            all(v <= 0 for g in rows for row in g for _, v in row),
         )
     return cached
 
@@ -213,11 +202,11 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
     """Product of the visualised generators in word order.
 
     The word is folded left to right over plain row lists with
-    ``row_product``, which is what ``mp_multiply`` does letter by letter,
-    so the floats are the same.  On exact data the fold tests prefix
-    lengths 8, 16, 32, ... for the CSR onset (``_csr_onset``) and, from the
-    first one that passes, carries the r rows of R' instead of n rows (see
-    the module docstring); the product is the same.  The last word and its
+    ``row_product``, which is what ``mp_multiply`` does letter by letter.
+    The fold tests prefix lengths 8, 16, 32, ... for the CSR onset
+    (``_csr_onset``) and, from the first one that passes, carries the r
+    rows of R' instead of n rows (see the module docstring); the product is
+    the same.  The last word and its
     product are kept on the ensemble; an equal word (by its letters) gets
     that product back.
     """
@@ -225,12 +214,11 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
     if last is not None and last[0] == word.letters:
         return last[1]
     word.validate(ensemble)
-    rows_of, _, _, scale = _adjacency(ensemble)
+    rows_of = _adjacency(ensemble)[0]
     n = ensemble.size
     k = len(word)
-    exact = scale is not None and 2 * k * scale < 2.0**53
     components = ensemble.critical.components
-    check_at = 8 if exact and components else k
+    check_at = 8 if components else k
     result: Sequence[Sequence[Scalar]] = ensemble.normalized[word.letters[0] - 1].data
     left = None
     for length, letter in enumerate(word.letters[1:], start=2):
@@ -244,8 +232,6 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
     if left is not None:
         right = [[(j, v) for j, v in enumerate(row) if v is not None] for row in result]
         result = [row_product(row, right, n) for row in left]
-    if not exact and not all(v is None or isfinite(v) for row in result for v in row):
-        raise EnsembleError(f"the product of a word of length {k} overflows floating point")
     product = MaxPlusMatrix(n, n, tuple(map(tuple, result)))
     ensemble.__dict__["_last_product"] = (word.letters, product)
     return product
@@ -260,15 +246,12 @@ def first_passage_data(
     the critical set is unreachable within the word.  One routine gives
     both: v* is w* of the mirror image, since a final walk from the critical
     set to j, read backwards, is an initial walk from j into it over the
-    reversed word on the transposed generators.  Each stage's weight is then
-    added after the weight so far instead of before it; float addition is
-    commutative and the grouping is the same, so v* holds the very floats of
-    a backward DP.
+    reversed word on the transposed generators.
     """
     word.validate(ensemble)
     n = ensemble.size
     crit = ensemble.critical_nodes
-    rows, cols, nonpositive, _ = _adjacency(ensemble)
+    rows, cols, nonpositive = _adjacency(ensemble)
     w_star, w_len = _first_passage(rows, word.letters, crit, n, nonpositive)
     v_star, v_len = _first_passage(cols, word.letters[::-1], crit, n, nonpositive)
     return w_star, w_len, v_star, v_len
@@ -286,18 +269,17 @@ def _first_passage(
     length is the first stage that attains the best weight.
 
     With ``prune`` (every finite weight <= 0) an entry x <= ``best[i]`` is
-    dropped after the stage's candidate update.  Monotone rounding gives
-    fl(x + a) <= x for a <= 0, so every extension of x weighs at most
-    ``best[i]`` and never replaces it.  A surviving entry's maximum came
-    from surviving entries only (the dropped ones give at most
-    ``best[i]``), so it keeps its exact float, and w*, the lengths and the
+    dropped after the stage's candidate update: every extension of x weighs
+    at most x, so it never replaces ``best[i]``.  A surviving entry's
+    maximum came from surviving entries only (the dropped ones give at most
+    ``best[i]``), so it keeps its value, and w*, the lengths and the
     first-maximum tie rule are those of the full DP.  A start whose row has
     no finite entry left is done, and the fold stops when none is left.
     """
-    best: list[Scalar] = [0.0 if i in crit else None for i in range(n)]
+    best: list[Scalar] = [0 if i in crit else None for i in range(n)]
     length: list[Optional[int]] = [0 if i in crit else None for i in range(n)]
     crit_sorted = sorted(crit)
-    reach = {i: [0.0 if x == i else None for x in range(n)] for i in range(n) if i not in crit}
+    reach = {i: [0 if x == i else None for x in range(n)] for i in range(n) if i not in crit}
     for step, letter in enumerate(letters, start=1):
         if not reach:
             break
@@ -349,13 +331,13 @@ def optimal_walk_lengths(ensemble: Ensemble, word: Word) -> WalkLengthReport:
     n = ensemble.size
     slack = n - len(ensemble.critical_nodes)
 
-    def cap(weight: Scalar, path_bound: Scalar) -> Optional[float]:
+    def cap(weight: Scalar, path_bound: Scalar) -> Scalar:
         if weight is None:
             return None
         if lam is None:
-            return float(slack)
+            return slack
         assert path_bound is not None
-        return (weight - path_bound) / lam + slack
+        return rational(weight - path_bound, lam) + slack
 
     w_bounds = tuple(cap(w_star[i], pw.alpha[i]) for i in range(n))
     v_bounds = tuple(cap(v_star[j], pw.beta[j]) for j in range(n))

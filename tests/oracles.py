@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
-import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -44,7 +44,7 @@ def best_walk_weight(grids: Sequence[Grid], i: int, j: int) -> Optional[float]:
             if w is not None:
                 rec(pos + 1, nxt, acc + w)
 
-    rec(0, i, 0.0)
+    rec(0, i, 0)
     return best
 
 
@@ -60,7 +60,7 @@ def dp_walk_matrix(grids: Sequence[Grid]) -> list[list[Optional[float]]]:
     n = len(grids[0])
     out = []
     for start in range(n):
-        vec: list[Optional[float]] = [0.0 if x == start else None for x in range(n)]
+        vec: list[Optional[float]] = [0 if x == start else None for x in range(n)]
         for grid in grids:
             nxt: list[Optional[float]] = [None] * n
             for x in range(n):
@@ -135,7 +135,7 @@ def structure(n: int, edges) -> MaxPlusMatrix:
     """0 on the given edges, eps elsewhere."""
     grid: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
     for u, v in edges:
-        grid[u][v] = 0.0
+        grid[u][v] = 0
     return MaxPlusMatrix.from_rows(grid)
 
 
@@ -295,9 +295,12 @@ def full_scan_weak_csr_bound(ensemble: Ensemble, k_max: int):
 
     Steps u = a_inf^k through the whole window and evaluates the condition
     at each length, so it never relies on the powers becoming periodic.
-    ``period`` is left at its default.
+    Each threshold is the exact rational (u^k_ij - gamma_ij) / lambda_star +
+    slack, maximised over the pairs: at the least u^k_ij - gamma_ij, as
+    lambda_star < 0.  ``threshold_at_k`` is that numerator's float in the
+    library's display convention.  ``period`` is left at its default.
     """
-    from mpcsr.bounds import AssumptionError, WeakBoundResult
+    from mpcsr.bounds import AssumptionError, WeakBoundResult, _display
     from mpcsr.ensemble import path_weights
     from mpcsr.semiring import finite_rows, row_product
 
@@ -324,20 +327,18 @@ def full_scan_weak_csr_bound(ensemble: Ensemble, k_max: int):
             finite_pairs=0,
             diagnostics=("every pair of nodes must pass through the critical set",),
         )
-    thresholds: list[Optional[float]] = []
+    thresholds = []
+    displayed = []
     inf_rows = finite_rows(ensemble.a_inf)
     u = ensemble.a_inf.data
     for _ in range(k_max):
-        worst = None
-        for urow, avoid_row in zip(u, avoid_rows):
-            for j, g in avoid_row:
-                uk = urow[j]
-                if uk is None:
-                    continue
-                value = float(slack) if lam is None else (uk - g) / lam + slack
-                if worst is None or value > worst:
-                    worst = value
-        thresholds.append(worst)
+        nums = [urow[j] - g for urow, avoid_row in zip(u, avoid_rows) for j, g in avoid_row if urow[j] is not None]
+        if not nums:
+            thresholds.append(None)
+            displayed.append(None)
+        else:
+            thresholds.append(slack if lam is None else Fraction(min(nums)) / lam + slack)
+            displayed.append(_display(lam, slack)(min(nums)))
         u = [row_product(row, inf_rows, n) for row in u]
     ok = [t is None or k > t for k, t in enumerate(thresholds, start=1)]
     first_k = next((k for k, good in enumerate(ok, start=1) if good), None)
@@ -359,7 +360,7 @@ def full_scan_weak_csr_bound(ensemble: Ensemble, k_max: int):
         k=stable,
         first_k=first_k,
         certified_up_to=k_max,
-        threshold_at_k=thresholds[stable - 1],
+        threshold_at_k=displayed[stable - 1],
         lambda_star=lam,
         slack=slack,
         finite_pairs=finite_pairs,
@@ -379,9 +380,9 @@ def star_route_build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
     build before the zero-cycle route and the star reuse, kept as their
     referee.
     """
-    from mpcsr.digraph import critical_graph
-    from mpcsr.ensemble import AssumptionReport, EnsembleError, _cycle_mean, _is_visualised, _profile, _top
-    from mpcsr.semiring import TOL, _star, entrywise_inf, entrywise_sup
+    from mpcsr.digraph import critical_graph, max_cycle_mean
+    from mpcsr.ensemble import AssumptionReport, EnsembleError, _is_visualised, _profile, _top
+    from mpcsr.semiring import _star, entrywise_inf, entrywise_sup
 
     if not generators:
         raise EnsembleError("an ensemble needs at least one generator")
@@ -393,15 +394,15 @@ def star_route_build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
             raise EnsembleError(f"generators must share one size, got {n} and {g.rows}")
     normalized = []
     for idx, g in enumerate(generators):
-        lam = _cycle_mean(g, f"generator {idx}")
+        lam = max_cycle_mean(g)
         if lam is None:
             raise EnsembleError(f"generator {idx} has no cycles; its cycle mean is eps")
         normalized.append(g.shift(-lam))
     a_sup0 = entrywise_sup(normalized)
-    lam_sup0 = _cycle_mean(a_sup0, "the normalised supremum")
+    lam_sup0 = max_cycle_mean(a_sup0)
     crit0 = critical_graph(a_sup0, lam_sup0)
-    x = (0.0,) * n
-    if abs(lam_sup0) <= TOL and not _is_visualised(normalized + [a_sup0], crit0):
+    x = (0,) * n
+    if lam_sup0 == 0 and not _is_visualised(normalized + [a_sup0], crit0):
         star = _star(a_sup0)
         scaled = []
         for i in range(n):
@@ -412,18 +413,16 @@ def star_route_build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
         x = tuple(scaled)
         normalized = [m.diagonal_similarity(x) for m in normalized]
     mats = tuple(normalized)
-    if any(v is not None and not math.isfinite(v) for m in mats for row in m.data for v in row):
-        raise EnsembleError("visualised entries overflow floating point")
     a_sup = entrywise_sup(mats)
     a_inf = entrywise_inf(mats)
-    lam_sup = _cycle_mean(a_sup, "the supremum")
+    lam_sup = max_cycle_mean(a_sup)
     crit = critical_graph(a_sup, lam_sup)
     noncritical = [i for i in range(n) if i not in crit.critical_nodes]
     b_sup = a_sup.mask(noncritical) if noncritical else MaxPlusMatrix.epsilon(n, n)
-    lambda_star = _cycle_mean(b_sup, "the noncritical supremum")
+    lambda_star = max_cycle_mean(b_sup)
 
     notes: list[str] = []
-    crits = [critical_graph(m, _cycle_mean(m, f"visualised generator {idx}")) for idx, m in enumerate(mats)]
+    crits = [critical_graph(m, max_cycle_mean(m)) for m in mats]
     irreducible = all(c.ambient_class_of is not None for c in crits)
     if not irreducible:
         notes.append("some generator is not irreducible")
@@ -439,7 +438,7 @@ def star_route_build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
     inf_equiv = a_inf.support() == sup_support
     if not inf_equiv:
         notes.append("the entrywise infimum loses edges of the common digraph")
-    d1 = abs(lam_sup) <= TOL
+    d1 = lam_sup == 0
     if not d1:
         notes.append(f"supremum matrix has cycle mean {lam_sup}, not zero")
     d2 = _is_visualised(list(mats) + [a_sup], crit)
@@ -468,11 +467,14 @@ def star_route_build_ensemble(generators: Sequence[MaxPlusMatrix]) -> Ensemble:
 
 
 def bitwise(value):
-    """``value`` with every float as its hex string and every set and dict
-    in its iteration order, so that two results compare equal only when
-    they hold the same floats, signs of zero included, and iterate alike."""
+    """``value`` with every float as its hex string, every Fraction as its
+    numerator and denominator, and every set and dict in its iteration
+    order, so that two results compare equal only when they hold values of
+    the same types, signs of zero included, and iterate alike."""
     if isinstance(value, float):
         return value.hex()
+    if isinstance(value, Fraction):
+        return ("Fraction", value.numerator, value.denominator)
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if dataclasses.is_dataclass(value):
@@ -502,20 +504,18 @@ def simple_cycle_means(n: int, edges: Sequence[tuple[int, int, float]]) -> list[
     def dfs(start: int, node: int, visited: set[int], weight: float, length: int):
         for nxt, w in adj[node]:
             if nxt == start:
-                means.append((weight + w) / (length + 1))
+                means.append(Fraction(weight + w) / (length + 1))
             elif nxt > start and nxt not in visited:
                 visited.add(nxt)
                 dfs(start, nxt, visited, weight + w, length + 1)
                 visited.remove(nxt)
 
     for s in range(n):
-        dfs(s, s, {s}, 0.0, 0)
+        dfs(s, s, {s}, 0, 0)
     return means
 
 
-def nodes_on_max_mean_cycles(
-    n: int, edges: Sequence[tuple[int, int, float]], tol: float = 1e-9
-) -> set[int]:
+def nodes_on_max_mean_cycles(n: int, edges: Sequence[tuple[int, int, float]]) -> set[int]:
     """All nodes lying on some cycle whose mean attains the maximum."""
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for u, v, w in edges:
@@ -525,20 +525,20 @@ def nodes_on_max_mean_cycles(
     def dfs(start: int, node: int, visited: list[int], weight: float):
         for nxt, w in adj[node]:
             if nxt == start:
-                cycles.append((visited[:], (weight + w) / len(visited)))
+                cycles.append((visited[:], Fraction(weight + w) / len(visited)))
             elif nxt > start and nxt not in visited:
                 visited.append(nxt)
                 dfs(start, nxt, visited, weight + w)
                 visited.pop()
 
     for s in range(n):
-        dfs(s, s, [s], 0.0)
+        dfs(s, s, [s], 0)
     if not cycles:
         return set()
     top = max(m for _, m in cycles)
     out: set[int] = set()
     for nodes, m in cycles:
-        if m >= top - tol:
+        if m == top:
             out.update(nodes)
     return out
 
@@ -555,7 +555,7 @@ def enumerate_first_passage(
     grids = [ensemble.normalized[l - 1].data for l in letters]
     k = len(letters)
 
-    w_star: list[Optional[float]] = [0.0 if i in crit else None for i in range(n)]
+    w_star: list[Optional[float]] = [0 if i in crit else None for i in range(n)]
     for i in range(n):
         if i in crit:
             continue
@@ -573,9 +573,9 @@ def enumerate_first_passage(
                 else:
                     rec(stage + 1, nxt, acc + w)
 
-        rec(0, i, 0.0)
+        rec(0, i, 0)
 
-    v_star: list[Optional[float]] = [0.0 if j in crit else None for j in range(n)]
+    v_star: list[Optional[float]] = [0 if j in crit else None for j in range(n)]
     for j in range(n):
         if j in crit:
             continue
@@ -594,7 +594,7 @@ def enumerate_first_passage(
                 else:
                     rec_back(stage - 1, prev, w + acc)
 
-        rec_back(k, j, 0.0)
+        rec_back(k, j, 0)
     return w_star, v_star
 
 
@@ -619,11 +619,11 @@ def mirrored_first_passage_data(
     allowed = [i not in crit for i in range(n)]
     gens = ensemble.normalized
 
-    w_star: list[Scalar] = [0.0 if i in crit else None for i in range(n)]
+    w_star: list[Scalar] = [0 if i in crit else None for i in range(n)]
     w_len: list[Optional[int]] = [0 if i in crit else None for i in range(n)]
     # reach[i][x]: best walk weight i -> x through noncritical nodes only
     reach: list[list[Scalar]] = [
-        [0.0 if (i == x and allowed[i]) else None for x in range(n)] for i in range(n)
+        [0 if (i == x and allowed[i]) else None for x in range(n)] for i in range(n)
     ]
     crit_sorted = sorted(crit)
     for step, letter in enumerate(word.letters, start=1):
@@ -646,11 +646,11 @@ def mirrored_first_passage_data(
         if step < k:
             reach = _advance(reach, a, noncrit, n)
 
-    v_star: list[Scalar] = [0.0 if j in crit else None for j in range(n)]
+    v_star: list[Scalar] = [0 if j in crit else None for j in range(n)]
     v_len: list[Optional[int]] = [0 if j in crit else None for j in range(n)]
     # back[y][j]: best walk weight y -> j through noncritical nodes only
     back: list[list[Scalar]] = [
-        [0.0 if (y == j and allowed[y]) else None for j in range(n)] for y in range(n)
+        [0 if (y == j and allowed[y]) else None for j in range(n)] for y in range(n)
     ]
     for offset, letter in enumerate(reversed(word.letters), start=1):
         a = gens[letter - 1].data
@@ -720,7 +720,7 @@ def best_critical_touching_walk(
     """Best weight of a full trellis walk i -> j visiting a critical node."""
     n = ensemble.size
     crit = ensemble.critical_nodes
-    cur: dict[tuple[int, bool], float] = {(i, i in crit): 0.0}
+    cur: dict[tuple[int, bool], float] = {(i, i in crit): 0}
     for letter in letters:
         grid = ensemble.normalized[letter - 1].data
         nxt: dict[tuple[int, bool], float] = {}
@@ -752,7 +752,7 @@ def symmetric_trellis_matrix(
     n = ensemble.size
     s_grid: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
     for u, v in ensemble.critical.critical_edges:
-        s_grid[u][v] = 0.0
+        s_grid[u][v] = 0
     word_grids = [ensemble.normalized[l - 1].data for l in letters]
     grids = word_grids + [s_grid] * middle + word_grids
     return dp_walk_matrix(grids)
@@ -826,7 +826,7 @@ def _realisable(subset, grid, n, m) -> bool:
     for i0 in sorted(adj_rows):
         if i0 in row_pot:
             continue
-        row_pot[i0] = 0.0
+        row_pot[i0] = 0
         row_comp[i0] = comp
         frontier = [("r", i0)]
         while frontier:
@@ -871,7 +871,7 @@ def _realisable(subset, grid, n, m) -> bool:
                     return False
             else:
                 diff_edges.append((b, a, slackv))  # s_a - s_b <= slackv
-    dist = [0.0] * comp
+    dist = [0] * comp
     for _ in range(comp):
         changed = False
         for b, a, c in diff_edges:
@@ -960,7 +960,7 @@ def random_p0_ensemble(
         for _ in range(rng.randint(2, 4)):
             rows: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
             for (u, v) in support:
-                rows[u][v] = 0.0 if (u, v) in crit_edges else float(rng.randint(lo, -1))
+                rows[u][v] = 0 if (u, v) in crit_edges else float(rng.randint(lo, -1))
             gens.append(MaxPlusMatrix.from_rows(rows))
         try:
             ens = build_ensemble(gens)
@@ -999,7 +999,7 @@ def random_visualised_ensemble(
         for _ in range(rng.randint(2, 3)):
             rows: list[list[Optional[float]]] = [[None] * n for _ in range(n)]
             for (u, v) in support:
-                rows[u][v] = 0.0 if (u, v) in crit_edges else float(rng.randint(lo, -1))
+                rows[u][v] = 0 if (u, v) in crit_edges else float(rng.randint(lo, -1))
             gens.append(MaxPlusMatrix.from_rows(rows))
         try:
             ens = build_ensemble(gens)

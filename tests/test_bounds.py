@@ -216,7 +216,8 @@ def _powers_until(a, k):
 
 def test_weak_bound_period_witness():
     assert weak_csr_bound(_demo_variant("demo"), 200).period == (4, 2)
-    assert weak_csr_bound(_demo_variant("+0.1"), 200).period is None
+    # The +0.1 shift is undone exactly by the normalisation.
+    assert weak_csr_bound(_demo_variant("+0.1"), 200).period == (4, 2)
     # A window that ends before the repeat shows none.
     assert weak_csr_bound(_demo_variant("demo"), 5).period is None
     assert weak_csr_bound(_demo_variant("demo"), 6).period == (4, 2)
@@ -230,6 +231,21 @@ def test_weak_bound_period_witness():
         # a_inf^(T+sigma) is the first power equal to an earlier one, a_inf^T.
         assert powers[t + sigma - 1] == powers[t - 1]
         assert len(set(powers[: t + sigma - 1])) == t + sigma - 1
+        checked += 1
+    assert checked >= 10
+
+
+def test_weak_bound_past_the_period_matches_a_full_window():
+    # Past the repeat each threshold recurs with period sigma, and a length
+    # passes for good once it passes in its residue class, so a window far
+    # beyond the scan certifies what a full scan of 300 lengths certifies.
+    checked = 0
+    for ens in itertools.chain(_weak_cases("demo_variants"), _weak_cases("gen_p0")):
+        want = full_scan_weak_csr_bound(ens, 300)
+        assert dataclasses.replace(weak_csr_bound(ens, 300), period=None) == want
+        got = weak_csr_bound(ens, 10**8)
+        assert got.period is not None
+        assert (got.k, got.first_k, got.threshold_at_k) == (want.k, want.first_k, want.threshold_at_k)
         checked += 1
     assert checked >= 10
 

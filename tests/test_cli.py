@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -119,27 +121,31 @@ def test_analyze_rejects_non_finite_and_non_numeric_entries(capsys, tmp_path, en
 
 
 @pytest.mark.parametrize(
-    "generators, message",
+    "generators",
     [
-        (
-            [[[0, 1e308, None], [None, None, -1e308], [-1e308, None, None]]],
-            "visualised entries overflow floating point",
-        ),
-        (
-            [[[1e308, 1e308], [1e308, 1e308]]] * 2,
-            "generator 0 has cycle mean inf: its weights overflow floating point",
-        ),
+        # Visualising puts -1e308 - 1e308 on the edge (1, 2).
+        [[[0, 1e308, None], [None, None, -1e308], [-1e308, None, None]]],
+        # Normalising by the cycle mean 1e308 puts -2e308 on the edge (0, 1).
+        [[[1e308, -1e308], [1e308, None]]],
     ],
     ids=["visualised-entry", "cycle-mean"],
 )
-def test_analyze_rejects_weights_that_overflow(capsys, tmp_path, generators, message):
-    path = tmp_path / "overflow.json"
-    n = len(generators[0])
-    path.write_text(json.dumps({"generators": [{"rows": n, "cols": n, "entries": g} for g in generators]}))
-    code, out, err = run(capsys, "analyze", str(path))
+def test_analyze_rejects_weights_that_overflow(capsys, tmp_path, generators):
+    # The values are exact, but one is beyond the float range of the output.
+    code, out, err = run(capsys, "analyze", _write_generators(tmp_path, generators))
     assert code == 2
     assert out == ""
-    assert err == f"error: {path}: {message}\n"
+    assert err.startswith("error: the weights overflow floating point: ") and err.count("\n") == 1
+
+
+def test_analyze_takes_a_cycle_mean_whose_float_sums_overflow(capsys, tmp_path):
+    # Every cycle sums to at least 2e308, beyond the float range, but the
+    # cycle means and the normalised entries are exact and small.
+    code, out, _ = run(capsys, "analyze", _write_generators(tmp_path, [[[1e308, 1e308], [1e308, 1e308]]] * 2))
+    assert code == 0
+    data = json.loads(out)
+    assert data["a_sup"]["entries"] == [[0, 0], [0, 0]]
+    assert data["assumptions"]["diagnostics"] == []
 
 
 def test_analyze_float_generator_with_rounded_cycle_mean(capsys, tmp_path):
@@ -178,11 +184,13 @@ def test_analyze_float_input_where_node_and_edge_tolerances_disagree(capsys, tmp
 
 
 def test_bounds_rejects_an_ambient_bound_that_overflows(capsys, tmp_path):
-    path = _write_generators(tmp_path, [[[1e307, 1e307], [0, 1e308]]])
+    # lambda_star = -1 and the visualised edge (0, 1) weighs -2e308, so the
+    # avoidance cell at (1, 1) is about 2e308, beyond the float range.
+    path = _write_generators(tmp_path, [[[0, -1e308], [-1e308, -1]]])
     code, out, err = run(capsys, "bounds", path)
     assert code == 2
     assert out == ""
-    assert err == "error: the ambient bound is inf: the weights overflow floating point\n"
+    assert err.startswith("error: the weights overflow floating point: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command, word", [("product", "1,1"), ("csr-check", "1,1"), ("csr-check", "1")])
@@ -226,7 +234,7 @@ def test_bounds_rejects_a_divergent_supremum(capsys, tmp_path):
     code, out, err = run(capsys, "bounds", str(path))
     assert code == 2
     assert out == ""
-    assert err == "error: maximum cycle mean 5.0 is positive; the star series diverges\n"
+    assert err == "error: maximum cycle mean 5 is positive; the star series diverges\n"
 
 
 @pytest.mark.parametrize("k_max", ["0", "-1", "-200"])
@@ -339,6 +347,22 @@ def test_counterexample_rejects_t_below_every_class(capsys, family_id, t, t_min)
     assert err == f"error: family {family_id} needs --t >= {t_min}, got {t}\n"
 
 
+@pytest.mark.parametrize(
+    "family_id, t_max",
+    # The longest class word, (1)^(modulus*t + offset) 2, has at most 10**6 letters.
+    [("P1_six", 499_999), ("P1_three", 333_331), ("P2_six", 249_999), ("P3_four", 999_999)],
+)
+def test_counterexample_rejects_t_beyond_the_word_cap(capsys, family_id, t_max):
+    for t in (t_max + 1, 100_000_000):
+        code, out, err = run(capsys, "counterexample", "--family", family_id, "--t", str(t))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: family {family_id} builds words of at most 1000000 letters, "
+            f"so --t must be at most {t_max}, got {t}\n"
+        )
+
+
 def test_counterexample_runs_at_the_smallest_admissible_t(capsys):
     for family_id, t_min in (("P1_six", 1), ("P1_three", 0), ("P2_six", 2), ("P3_four", 2)):
         code, out, _ = run(capsys, "counterexample", "--family", family_id, "--t", str(t_min))
@@ -405,3 +429,53 @@ def test_cli_import_leaves_the_dataset_unloaded():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# -- exact decimals ----------------------------------------------------------------
+
+
+def _demo_variant_file(tmp_path, name, transform):
+    generators = [
+        {"rows": g.rows, "cols": g.cols, "entries": [[None if v is None else transform(v) for v in row] for row in g.data]}
+        for g in demo.generators()
+    ]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"generators": generators}))
+    return str(path)
+
+
+DEMO_WORD = ",".join(map(str, demo.WORD.letters))
+
+
+@pytest.mark.parametrize("scale", ["0.1", "0.3", "1e-7"])
+def test_decimal_scaled_demo_keeps_its_csr_verdict_and_lengths(capsys, tmp_path, scale):
+    # Every entry is written as an exact decimal, e.g. -4.2 for -14 x 0.3.
+    # Float arithmetic reported false counterexamples on these files.
+    path = _demo_variant_file(tmp_path, scale, lambda v: float(Decimal(v) * Decimal(scale)))
+    code, out, _ = run(capsys, "csr-check", path, "--word", DEMO_WORD)
+    assert code == 0
+    assert json.loads(out)["equal"] is True
+    code, out, _ = run(capsys, "bounds", path)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["ambient"]["k"], data["weak_bound"]["k"]) == (27, 20)
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze"], ["bounds"], ["product", "--word", DEMO_WORD], ["csr-check", "--word", DEMO_WORD]]
+)
+def test_shifted_demo_prints_the_demo_bytes(capsys, tmp_path, demo_file, argv):
+    # Adding 0.1 to every entry shifts each generator's cycle mean by 0.1,
+    # which the normalisation takes off exactly.
+    path = _demo_variant_file(tmp_path, "shifted", lambda v: v + 0.1)
+    assert run(capsys, argv[0], path, *argv[1:]) == run(capsys, argv[0], demo_file, *argv[1:])
+
+
+def test_bounds_with_a_huge_k_max_stops_at_the_period(capsys, demo_file):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", demo_file, "--k-max", "100000000")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 1.0
+    _, want, _ = run(capsys, "bounds", demo_file)
+    assert out == want.replace('"certified_up_to": 200', '"certified_up_to": 100000000')

@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcsr.counterexamples import build_family
+from mpcsr.csr import is_csr
 from mpcsr.digraph import critical_graph, max_cycle_mean, zero_critical_graph, zero_cycle_edges
-from mpcsr.ensemble import EnsembleError, _critical, build_ensemble, exactness, path_weights, u_k
-from mpcsr.semiring import MaxPlusMatrix, _star, matrices_equal
-from mpcsr.trellis import gamma_product
+from mpcsr.ensemble import EnsembleError, _critical, build_ensemble, path_weights, u_k
+from mpcsr.semiring import MaxPlusMatrix, _star, matrices_equal, mp_power
+from mpcsr.trellis import first_passage_data, gamma_product
 
 from oracles import bench_module, bitwise, random_word, star_route_build_ensemble
 
@@ -261,9 +262,9 @@ def _build_calls(monkeypatch, generators):
 def test_demo_build_runs_one_checked_star(monkeypatch):
     # Every star inside the build and the path weights runs on a matrix whose
     # cycle mean is known to be nonpositive, except the one checked star on
-    # the supremum.  On exact data the critical digraphs of the visualised
-    # supremum and generators come off their zero cycles, so the only
-    # critical_graph call is on the normalised supremum.
+    # the supremum.  The visualised entries are all <= 0, so the critical
+    # digraphs of the visualised supremum and generators come off their zero
+    # cycles, and the only critical_graph call is on the normalised supremum.
     from mpcsr import demo
 
     calls = _build_calls(monkeypatch, demo.generators())
@@ -319,22 +320,22 @@ def _scaled(gens, f):
     return [MaxPlusMatrix.from_rows([[None if v is None else f(v) for v in row] for row in g.data]) for g in gens]
 
 
-def _fallback_sets():
+def _decimal_sets():
     from mpcsr import demo
 
     yield "demo x0.1", _scaled(demo.generators(), lambda v: v * 0.1)
     yield "demo +0.1", _scaled(demo.generators(), lambda v: v + 0.1)
-    gens = demo.generators()
-    yield "demo with a -0.0 critical entry", [_with_entry(gens[0], 0, 1, -0.0)] + gens[1:]
+    # Cycle mean -25/3: every generator entry is shifted by a Fraction.
+    yield "cycle mean -25/3", [mat([[-11.0, -13.0, E], [-12.0, -12.0, -1.0], [-11.0, E, E]])]
+
+
+def _positive_sets():
     # Generator 1 misses the critical edge (2, 3) of the supremum and has no
-    # zero cycle left, so its normalisation is not exact.
+    # zero cycle left: its cycle mean is -1/2, and the normalised supremum
+    # has cycle mean 3/8, so positive entries remain.
     gens = list(build_family("P2_six").generators)
     gens[1] = _with_entry(gens[1], 2, 3, None)
     yield "P2_six without (2, 3) in generator 1", gens
-    # Cycle mean -25/3: the normalised supremum keeps a cycle mean of about
-    # 6e-16, so the star of critical_graph, taken after shifting by it, is
-    # not the star of the supremum that the visualisation needs.
-    yield "cycle mean -25/3", [mat([[-11.0, -13.0, E], [-12.0, -12.0, -1.0], [-11.0, E, E]])]
 
 
 def _assert_same_structure(got, want):
@@ -345,8 +346,7 @@ def _assert_same_structure(got, want):
 @pytest.mark.parametrize("label, generators", list(_exact_sets()), ids=lambda x: x if isinstance(x, str) else "")
 def test_zero_cycle_route_matches_critical_graph(label, generators):
     ens = build_ensemble(generators)
-    nonpositive, scale = exactness(ens)
-    assert nonpositive and scale is not None and ens.size * scale < 2.0**53
+    assert all(v is None or v <= 0 for m in ens.normalized for row in m.data for v in row)
     for m in (ens.a_sup, *ens.normalized):
         _assert_same_structure(zero_critical_graph(m), critical_graph(m, max_cycle_mean(m)))
         assert zero_cycle_edges(m) == critical_graph(m, max_cycle_mean(m)).critical_edges
@@ -354,7 +354,7 @@ def test_zero_cycle_route_matches_critical_graph(label, generators):
 
 @pytest.mark.parametrize(
     "label, generators",
-    list(_exact_sets()) + list(_fallback_sets()),
+    list(_exact_sets()) + list(_decimal_sets()) + list(_positive_sets()),
     ids=lambda x: x if isinstance(x, str) else "",
 )
 def test_build_matches_star_route_referee(label, generators):
@@ -372,10 +372,15 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("label, generators", list(_fallback_sets()), ids=lambda x: x if isinstance(x, str) else "")
-def test_fallback_sets_are_not_exact(label, generators):
-    nonpositive, scale = exactness(build_ensemble(generators))
-    assert not nonpositive or scale is None
+@pytest.mark.parametrize("label, generators", list(_decimal_sets()), ids=lambda x: x if isinstance(x, str) else "")
+def test_decimal_sets_take_the_zero_cycle_route(label, generators):
+    # Decimal entries parse to Fractions, so visualising leaves every entry
+    # exactly <= 0 (no float dirt above 0) and the zero-cycle route applies.
+    ens = build_ensemble(generators)
+    values = [v for m in (*ens.normalized, ens.a_sup) for row in m.data for v in row if v is not None]
+    assert not any(isinstance(v, float) for v in values)
+    assert all(v <= 0 for v in values)
+    _assert_same_structure(_critical(ens.a_sup, True), critical_graph(ens.a_sup, max_cycle_mean(ens.a_sup)))
 
 
 def test_matrix_without_zero_cycle_takes_the_star_route():
@@ -385,7 +390,7 @@ def test_matrix_without_zero_cycle_takes_the_star_route():
     lam = max_cycle_mean(m)
     assert lam < 0
     assert zero_critical_graph(m) is None
-    _assert_same_structure(_critical(m, True, "m"), critical_graph(m, lam))
+    _assert_same_structure(_critical(m, True), critical_graph(m, lam))
 
 
 @st.composite
@@ -408,3 +413,47 @@ def test_critical_graph_star_is_the_star_of_a_zero_mean_matrix():
     ens = build_ensemble(_p0_generators(5))
     a = ens.a_sup
     assert matrices_equal(vars(critical_graph(a, 0.0))["_star"], _star(a))
+
+
+# -- integer data stay on int ----------------------------------------------------
+
+
+def _integer_ensembles():
+    from mpcsr import demo
+
+    yield "demo", build_ensemble(demo.generators())
+    for fid in ("P1_six", "P1_three", "P2_six", "P3_four"):
+        yield fid, build_ensemble(list(build_family(fid).generators))
+    seed = 100
+    for n in (12, 20, 32):
+        for gamma in (1, 2, 3):
+            for density in (0.15, 0.5):
+                seed += 1
+                yield f"p0 n={n} gamma={gamma} density={density}", build_ensemble(_p0_generators(seed, n, gamma, density))
+
+
+def _finite(values):
+    return [v for v in values if v is not None]
+
+
+@pytest.mark.parametrize("label, ens", list(_integer_ensembles()), ids=lambda x: x if isinstance(x, str) else "")
+def test_integer_data_stay_on_int(label, ens):
+    # A float 0.0 in a kernel's start values would turn every sum after it
+    # into a float, silently, with equal comparisons.
+    mats = [*ens.normalized, ens.a_sup, ens.a_inf, ens.b_sup, _star(ens.a_sup), _star(ens.a_inf)]
+    pw = path_weights(ens)
+    values = []
+    rng = random.Random(len(label))
+    for k in (5, 100):  # a plain fold, then one long enough for the factored fold
+        word = random_word(rng, ens, k)
+        mats.append(gamma_product(ens, word))
+        w_star, _, v_star, _ = first_passage_data(ens, word)
+        values += _finite(w_star + v_star)
+    check = is_csr(ens, word)
+    terms = check.terms
+    mats += [check.csr, terms.c_global, terms.r_global, terms.s_global, mp_power(terms.s_global, 0)]
+    values += _finite(pw.alpha + pw.beta + pw.w_inf + pw.v_inf + ens.visualisation_vector)
+    mats.append(pw.gamma_avoid)
+    values += [v for m in mats for row in m.data for v in _finite(row)]
+    assert values
+    assert {type(v) for v in values} == {int}
