@@ -76,7 +76,9 @@ def _load_ensemble(path: str) -> Ensemble:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError covers JSONDecodeError, UnicodeDecodeError and an
+        # integer literal past the int-string conversion limit.
         raise InputError(f"cannot read ensemble file {path}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"cannot read ensemble file {path}: JSON nested too deeply") from exc

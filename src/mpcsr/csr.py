@@ -22,7 +22,7 @@ from .bounds import wielandt
 from .digraph import CriticalStructure
 from .ensemble import Ensemble
 from .semiring import MaxPlusMatrix, Scalar, first_difference, matrices_equal, mp_multiply
-from .trellis import ClassMaxima, Word, class_maxima, compressed_factors, gamma_product
+from .trellis import ClassMaxima, Word, class_maxima, gamma_product
 
 
 def _eps_grid(n: int) -> list[list[Scalar]]:
@@ -141,6 +141,23 @@ def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
         r_global=_matrix(r_grid),
         class_maxima=maxima,
     )
+
+
+def compressed_factors(
+    maxima: Sequence[ClassMaxima], k: int
+) -> list[tuple[int, tuple[Scalar, ...], tuple[Scalar, ...]]]:
+    """(representative, column of C', row of R') for every cyclic class.
+
+    For a product of length k the column of C' at the class-l representative
+    is the column maximum over class l + k (mod the component's cyclicity),
+    and the row of R' is the row maximum over class l itself; C' (*) R' is
+    the CSR form C (*) S^(k mod gamma) (*) R.
+    """
+    return [
+        (rep, cm.columns[(cls + k) % cm.component.cyclicity], cm.rows[cls])
+        for cm in maxima
+        for cls, rep in enumerate(cm.representatives)
+    ]
 
 
 def _factors(terms: CsrTerms, maxima: Sequence[ClassMaxima]) -> tuple[MaxPlusMatrix, MaxPlusMatrix]:

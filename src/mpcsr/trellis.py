@@ -14,6 +14,18 @@ the shorter one when lengths are reported.  Final walks are initial walks
 of the reversed word over the transposed generators, so one routine on the
 shared ``row_product`` kernel computes both.
 
+On a visualised, strongly equivalent family (``assumption_report``'s
+``visualised`` and ``strongly_equivalent``) ``first_passage_weights`` reads
+w* and v* off the word's product G: w*[i] = max_c G[i][c] and
+v*[j] = max_c G[c][j] over the critical nodes c, with no DP.  Every
+generator then has every critical edge at weight 0 and every other finite
+entry <= 0.  A critical node has a critical edge out and one in, so a first
+passage of any length up to k is padded with zero critical steps to a
+length-k walk into the critical set, and no length-k walk into the critical
+set beats its own first passage, since the steps after it weigh <= 0.  On
+other families the weights come from ``first_passage_data``, which
+``optimal_walk_lengths`` always uses, since it reports lengths too.
+
 The first-passage DP is a branch-and-bound one.  When every finite entry
 of the visualised generators is <= 0 (one flag per ensemble, which covers
 the transposes too), a walk can only lose weight as it goes on, so a
@@ -25,11 +37,16 @@ The word product is a left fold that may switch to the factored form past
 the CSR onset.  When the prefix product G(l) is CSR, it equals C' (*) R'
 with one column of C' and one row of R' per critical cyclic class (r rows
 in all), so G(l + m) = C' (*) (R' (*) A_(l+1) (*) ... (*) A_(l+m)), by
-associativity of the exact product.  The fold tests the prefix at
-l = 8, 16, 32, ... (never at the last letter), carries the r rows of R'
-from the first l that passes, and expands C' (*) R' once at the end.
-Without a critical class, or when no test passes, the plain fold runs
-letter by letter.  Either way the product is the one the plain fold gives.
+associativity of the exact product.  The fold tests the prefix at l = 8
+and then at lengths that grow by a quarter, l + l // 4: 8, 10, 12, 15,
+18, 22, ... (never at the last letter).  A word that never reaches its
+onset still pays only O(log k) tests, and a prefix past its onset waits at
+most a quarter of its length for the next test.  A test builds R' first
+and then C' row by row, and stops at the first row that differs, so a
+failing test costs a few rows.  The fold carries the r rows of R' from
+the first l that passes, and expands C' (*) R' once at the end.  Without
+a critical class, or when no test passes, the plain fold runs letter by
+letter.  Either way the product is the one the plain fold gives.
 
 Both folds read the row-adjacency lists (``finite_rows``) of every
 generator and of its transpose, built once per ensemble and kept on it.
@@ -147,8 +164,27 @@ class ClassMaxima:
         return tuple(min(members) for members in self.component.classes())
 
 
-def _max(values) -> Scalar:
-    return max((x for x in values if x is not None), default=None)
+def _entry_max(row: Sequence[Scalar], members: Sequence[int]) -> Scalar:
+    """The largest entry of ``row`` over the columns ``members``."""
+    best = row[members[0]]
+    for c in members[1:]:
+        x = row[c]
+        if x is not None and (best is None or x > best):
+            best = x
+    return best
+
+
+def _row_max(data: Sequence[Sequence[Scalar]], members: Sequence[int]) -> Sequence[Scalar]:
+    """The entrywise maximum of the rows ``members`` of ``data``; the row
+    itself for a class of one."""
+    if len(members) == 1:
+        return data[members[0]]
+    out = list(data[members[0]])
+    for d in members[1:]:
+        for j, y in enumerate(data[d]):
+            if y is not None and (out[j] is None or y > out[j]):
+                out[j] = y
+    return out
 
 
 def class_maxima(data: Sequence[Sequence[Scalar]], comp: CriticalComponent) -> ClassMaxima:
@@ -156,45 +192,46 @@ def class_maxima(data: Sequence[Sequence[Scalar]], comp: CriticalComponent) -> C
     classes = comp.classes()
     return ClassMaxima(
         component=comp,
-        columns=tuple(tuple(_max(row[c] for c in members) for row in data) for members in classes),
-        rows=tuple(tuple(map(_max, zip(*(data[d] for d in members)))) for members in classes),
+        columns=tuple(tuple(_entry_max(row, members) for row in data) for members in classes),
+        rows=tuple(tuple(_row_max(data, members)) for members in classes),
     )
 
 
-def compressed_factors(
-    maxima: Sequence[ClassMaxima], k: int
-) -> list[tuple[int, tuple[Scalar, ...], tuple[Scalar, ...]]]:
-    """(representative, column of C', row of R') for every cyclic class.
-
-    For a product of length k the column of C' at the class-l representative
-    is the column maximum over class l + k (mod the component's cyclicity),
-    and the row of R' is the row maximum over class l itself; C' (*) R' is
-    the CSR form C (*) S^(k mod gamma) (*) R.
-    """
-    return [
-        (rep, cm.columns[(cls + k) % cm.component.cyclicity], cm.rows[cls])
-        for cm in maxima
-        for cls, rep in enumerate(cm.representatives)
-    ]
-
-
 def _csr_onset(
-    state: Sequence[Sequence[Scalar]], components: Sequence[CriticalComponent], k: int
+    state: Sequence[Sequence[Scalar]], classes: Sequence[Sequence[Sequence[int]]], k: int
 ) -> Optional[tuple[list, list]]:
     """C' by rows (r entries each) and the r rows of R' when ``state``, a
-    product of length k, equals C' (*) R' entry for entry; else None."""
-    pairs = compressed_factors([class_maxima(state, comp) for comp in components], k)
-    left = list(zip(*(column for _, column, _ in pairs)))
-    right = [row for _, _, row in pairs]
-    for state_row, c_row in zip(state, left):
-        for j, x in enumerate(state_row):
-            best: Scalar = None
-            for c, r_row in zip(c_row, right):
-                y = r_row[j]
-                if c is not None and y is not None and (best is None or c + y > best):
-                    best = c + y
-            if best != x:
-                return None
+    product of length k, equals C' (*) R' entry for entry; else None.
+
+    ``classes`` holds every critical component's class member lists.  The
+    factor of class l takes its row of R' from class l and its column of C'
+    from class l + k (mod the component's cyclicity).  R' is built first and
+    C' row by row, so a test that fails at an early row stops there.
+    """
+    right: list = []
+    column_classes = []
+    for members_of in classes:
+        g = len(members_of)
+        for cls, members in enumerate(members_of):
+            right.append(_row_max(state, members))
+            column_classes.append(members_of[(cls + k) % g])
+    right_rows = [[(j, y) for j, y in enumerate(row) if y is not None] for row in right]
+    n = len(state)
+    left = []
+    for state_row in state:
+        c_row = [_entry_max(state_row, members) for members in column_classes]
+        expected: list[Scalar] = [None] * n
+        for c, r_row in zip(c_row, right_rows):
+            if c is None:
+                continue
+            for j, y in r_row:
+                s = c + y
+                best = expected[j]
+                if best is None or s > best:
+                    expected[j] = s
+        if expected != state_row:
+            return None
+        left.append(c_row)
     return left, right
 
 
@@ -203,7 +240,7 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
 
     The word is folded left to right over plain row lists with
     ``row_product``, which is what ``mp_multiply`` does letter by letter.
-    The fold tests prefix lengths 8, 16, 32, ... for the CSR onset
+    The fold tests prefix lengths 8, 10, 12, 15, ... for the CSR onset
     (``_csr_onset``) and, from the first one that passes, carries the r
     rows of R' instead of n rows (see the module docstring); the product is
     the same.  The last word and its
@@ -217,16 +254,16 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
     rows_of = _adjacency(ensemble)[0]
     n = ensemble.size
     k = len(word)
-    components = ensemble.critical.components
-    check_at = 8 if components else k
+    classes = [comp.classes() for comp in ensemble.critical.components]
+    check_at = 8 if classes else k
     result: Sequence[Sequence[Scalar]] = ensemble.normalized[word.letters[0] - 1].data
     left = None
     for length, letter in enumerate(word.letters[1:], start=2):
         adjacency = rows_of[letter - 1]
         result = [row_product(row, adjacency, n) for row in result]
         if length == check_at < k:
-            onset = _csr_onset(result, components, length)
-            check_at = k if onset else 2 * length
+            onset = _csr_onset(result, classes, length)
+            check_at = k if onset else length + length // 4
             if onset:
                 left, result = onset
     if left is not None:
@@ -312,9 +349,23 @@ def _pop_critical(row: list[Scalar], crit_sorted: Sequence[int]) -> Scalar:
 
 
 def first_passage_weights(ensemble: Ensemble, word: Word) -> TrellisWeights:
-    """Product of the word plus its first-passage weight vectors."""
-    w_star, _, v_star, _ = first_passage_data(ensemble, word)
-    return TrellisWeights(product=gamma_product(ensemble, word), w_star=w_star, v_star=v_star)
+    """Product of the word plus its first-passage weight vectors.
+
+    On a visualised, strongly equivalent family w*[i] and v*[j] are the
+    product's maxima over the critical columns of row i and over the
+    critical rows of column j (see the module docstring); otherwise they
+    come from ``first_passage_data``.
+    """
+    product = gamma_product(ensemble, word)
+    report = ensemble.assumption_report
+    if report.visualised and report.strongly_equivalent:
+        crit = sorted(ensemble.critical_nodes)
+        data = product.data
+        w_star = tuple(_entry_max(row, crit) for row in data)
+        v_star = tuple(_row_max(data, crit))
+    else:
+        w_star, _, v_star, _ = first_passage_data(ensemble, word)
+    return TrellisWeights(product=product, w_star=w_star, v_star=v_star)
 
 
 def optimal_walk_lengths(ensemble: Ensemble, word: Word) -> WalkLengthReport:

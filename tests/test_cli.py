@@ -84,6 +84,15 @@ def test_analyze_rejects_json_nested_too_deeply(capsys, tmp_path):
     assert err == f"error: cannot read ensemble file {bad}: JSON nested too deeply\n"
 
 
+def test_analyze_rejects_an_integer_past_the_conversion_limit(capsys, tmp_path):
+    bad = tmp_path / "huge.json"
+    bad.write_text('{"generators": [{"rows": 1, "cols": 1, "entries": [[%s]]}]}' % ("9" * 5000))
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read ensemble file {bad}: Exceeds the limit")
+
+
 @pytest.mark.parametrize("field", ["rows", "cols"])
 @pytest.mark.parametrize("size", ['"2"', "2.5", "true", "null"])
 def test_analyze_rejects_a_shape_that_is_not_an_integer(capsys, tmp_path, field, size):

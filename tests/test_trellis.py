@@ -1,3 +1,4 @@
+import math
 import random
 from decimal import Decimal
 
@@ -259,6 +260,99 @@ def test_first_passage_matches_mirrored_referee(case_set):
     assert cases > 0
 
 
+# -- first passage read off the product ------------------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls the trellis module makes to its global ``name``."""
+    calls = [0]
+    original = getattr(trellis, name)
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(trellis, name, counting)
+    return calls
+
+
+def _read_off_cases(case_set):
+    rng = random.Random(1515)
+    if case_set == "demo":
+        ens = demo.ensemble()
+        yield ens, demo.WORD
+        for k in range(1, 41):
+            yield ens, random_word(rng, ens, k)
+    elif case_set == "families":
+        for family_id in FAMILY_IDS:
+            fam = build_family(family_id)
+            ens = fam.ensemble()
+            for cls in fam.word_classes:
+                for t in range(cls.t_min, cls.t_min + 12):
+                    yield ens, cls.word(t)
+    else:
+        gen = bench_module("gen")
+        for n, gamma, density in ((12, 1, 0.5), (12, 3, 0.15), (24, 2, 0.15)):
+            ens = build_ensemble([MaxPlusMatrix.from_rows(g) for g in gen.p0_generators(rng, n, gamma, density)])
+            for k in (1, 2, 5, 8, 9, 10, 12, 15, 20, 30, 45, 60):
+                yield ens, random_word(rng, ens, k)
+
+
+@pytest.mark.parametrize("case_set", ["demo", "families", "gen_p0"])
+def test_first_passage_read_off_matches_both_dps(monkeypatch, case_set):
+    onsets = []
+    original_onset = trellis._csr_onset
+
+    def recording(*args):
+        onset = original_onset(*args)
+        onsets.append(onset is not None)
+        return onset
+
+    monkeypatch.setattr(trellis, "_csr_onset", recording)
+    dp_calls = _count_calls(monkeypatch, "first_passage_data")
+    cases = 0
+    for ens, word in _read_off_cases(case_set):
+        report = ens.assumption_report
+        assert report.visualised and report.strongly_equivalent
+        tw = first_passage_weights(ens, word)
+        w_star, _, v_star, _ = first_passage_data(ens, word)
+        ref_w, _, ref_v, _ = mirrored_first_passage_data(ens, word)
+        assert tw.w_star == w_star == ref_w, word.letters
+        assert tw.v_star == v_star == ref_v, word.letters
+        cases += 1
+    assert cases > 0
+    assert dp_calls[0] == 0
+    if case_set == "gen_p0":
+        assert any(onsets), "no word reached the factored fold"
+
+
+def test_first_passage_takes_the_dp_without_strong_equivalence(monkeypatch):
+    # Without the critical edge 3 -> 0 in generator 1, node 3 has no
+    # zero-weight critical step under letter 1, so a first passage ending
+    # there cannot be padded to full length: the product's critical maxima
+    # fall short of w*, and the DP has to run.
+    rows = [[list(row) for row in g.data] for g in demo.generators()]
+    rows[0][3][0] = None
+    ens = build_ensemble([MaxPlusMatrix.from_rows(g) for g in rows])
+    report = ens.assumption_report
+    assert report.visualised and not report.strongly_equivalent
+    crit = sorted(ens.critical_nodes)
+    dp_calls = _count_calls(monkeypatch, "first_passage_data")
+    rng = random.Random(2)
+    short = 0
+    for count in range(1, 51):
+        word = random_word(rng, ens, rng.randint(1, 20))
+        tw = first_passage_weights(ens, word)
+        assert dp_calls[0] == count
+        assert (tw.w_star, tw.v_star) == first_passage_data(ens, word)[::2]
+        ref_w, _, ref_v, _ = mirrored_first_passage_data(ens, word)
+        assert (tw.w_star, tw.v_star) == (ref_w, ref_v)
+        data = tw.product.data
+        read_off = tuple(max((row[c] for c in crit if row[c] is not None), default=None) for row in data)
+        short += read_off != tw.w_star
+    assert short > 0
+
+
 # -- referee: a left fold of the dense product ---------------------------------
 
 
@@ -306,29 +400,14 @@ def test_product_matches_dense_fold(case_set):
 # -- memos on the ensemble -----------------------------------------------------
 
 
-def _count_row_products(monkeypatch):
-    calls = [0]
-    original = trellis.row_product
-
-    def counting(*args):
-        calls[0] += 1
-        return original(*args)
-
-    monkeypatch.setattr(trellis, "row_product", counting)
-    return calls
-
-
 def test_csr_check_then_first_passage_folds_the_word_once(monkeypatch):
-    word = demo.WORD
-    calls = _count_row_products(monkeypatch)
-    first_passage_data(demo.ensemble(), word)
-    passage_only = calls[0]
-
+    # The demo is visualised and strongly equivalent, so w* and v* are read
+    # off the product the CSR check memoised: no row product at all.
     ens = demo.ensemble()
-    check = is_csr(ens, word)
-    calls[0] = 0
-    tw = first_passage_weights(ens, word)
-    assert calls[0] == passage_only
+    check = is_csr(ens, demo.WORD)
+    calls = _count_calls(monkeypatch, "row_product")
+    tw = first_passage_weights(ens, demo.WORD)
+    assert calls[0] == 0
     assert tw.product is check.product
 
 
@@ -385,7 +464,7 @@ def test_first_passage_prunes_on_nonpositive_generators(monkeypatch):
     ens = build_ensemble([MaxPlusMatrix.from_rows(g) for g in gen.p0_generators(rng, 24, 2, 0.15)])
     word = random_word(rng, ens, 200)
     assert trellis._adjacency(ens)[2]
-    calls = _count_row_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "row_product")
     first_passage_data(ens, word)
     assert 0 < calls[0] <= _full_dp_row_products(ens, word) // 10
 
@@ -401,7 +480,7 @@ def test_first_passage_prunes_on_decimal_scaled_generators(monkeypatch):
     for transform in (lambda x: x, lambda x: float(Decimal(x) * Decimal("0.1"))):
         ens = _variant(gens, transform)
         word = random_word(random.Random(3), ens, 200)
-        calls = _count_row_products(monkeypatch)
+        calls = _count_calls(monkeypatch, "row_product")
         first_passage_data(ens, word)
         counts.append(calls[0])
     assert 0 < counts[1] == counts[0]
@@ -425,7 +504,7 @@ def test_first_passage_keeps_every_walk_on_a_positive_entry(monkeypatch):
     ens = build_ensemble([_chain_generator(3.0, -5.0), _chain_generator(-5.0, 3.0)])
     assert any(v is not None and v > 0 for g in ens.normalized for row in g.data for v in row)
     word = random_word(random.Random(8), ens, 50)
-    calls = _count_row_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "row_product")
     result = first_passage_data(ens, word)
     assert calls[0] == _full_dp_row_products(ens, word)
     assert result == mirrored_first_passage_data(ens, word)
@@ -491,7 +570,7 @@ def test_factored_fold_on_scaled_data(monkeypatch, transform):
     # fold switches to the factored form on them as on the original.
     ens = _csr_stream_ensemble(transform)
     letters = random_word(random.Random(4), ens, 100).letters
-    calls = _count_row_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "row_product")
     assert gamma_product(ens, Word(letters)) == dense_fold(ens, Word(letters))
     assert 0 < calls[0] < ens.size * (len(letters) - 1) // 2
 
@@ -499,10 +578,66 @@ def test_factored_fold_on_scaled_data(monkeypatch, transform):
 def test_factored_fold_carries_one_row_per_critical_class(monkeypatch):
     ens = _csr_stream_ensemble()
     rng = random.Random(9)
-    calls = _count_row_products(monkeypatch)
+    calls = _count_calls(monkeypatch, "row_product")
     for k in (90, 101, 130):
         word = random_word(rng, ens, k)
         calls[0] = 0
         product = gamma_product(ens, word)
         assert 0 < calls[0] <= 16 * 32 + (k - 16) * 3 + 32, k
         assert product == is_csr(ens, word).csr
+
+
+# -- cost of the onset schedule and of one checked word ----------------------------
+
+
+def test_onset_tests_grow_by_a_quarter(monkeypatch):
+    # Test lengths 8, 10, 12, 15, 18, 22, ...: a word that never reaches its
+    # onset pays at most 1 + ceil(log_{5/4}(k / 8)) tests.
+    lengths = []
+    original = trellis._csr_onset
+
+    def recording(state, classes, k):
+        lengths.append(k)
+        return original(state, classes, k)
+
+    monkeypatch.setattr(trellis, "_csr_onset", recording)
+    schedule = [8]
+    while schedule[-1] < 200:
+        schedule.append(schedule[-1] + schedule[-1] // 4)
+    assert schedule[:6] == [8, 10, 12, 15, 18, 22]
+    cases = 0
+    for family_id in FAMILY_IDS:
+        fam = build_family(family_id)
+        ens = fam.ensemble()
+        for cls in fam.word_classes:
+            for t in range(cls.t_min, 61):
+                word = cls.word(t)
+                k = len(word)
+                lengths.clear()
+                ens.__dict__.pop("_last_product", None)
+                gamma_product(ens, word)
+                assert lengths == schedule[: len(lengths)], (family_id, cls.label, t)
+                bound = 1 + math.ceil(math.log(k / 8, 5 / 4)) if k > 8 else 0
+                assert len(lengths) <= bound, (family_id, cls.label, t)
+                cases += 1
+    assert cases > 400
+
+
+def test_checked_word_row_products_on_the_csr_stream_ensemble(monkeypatch):
+    # One is_csr + rank_compress + first_passage_weights pass, as a
+    # csr-stream op runs it: one fold, and w*, v* read off its product.
+    from mpcsr import ambient_csr_bound, rank_compress
+
+    gen = bench_module("gen")
+    ens = _csr_stream_ensemble()
+    ambient_k = ambient_csr_bound(ens).ambient_k
+    rng = random.Random(1)
+    words = [Word(gen.random_word(rng, ens.generator_count(), ambient_k + rng.randrange(6))) for _ in range(8)]
+    calls = _count_calls(monkeypatch, "row_product")
+    for word in words:
+        calls[0] = 0
+        check = is_csr(ens, word)
+        rank_compress(check.terms)
+        first_passage_weights(ens, word)
+        assert check.equal
+        assert 0 < calls[0] <= 650, len(word)
