@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 
 from .bounds import AssumptionError, ambient_csr_bound, weak_csr_bound
 from .counterexamples import FAMILY_IDS, build_family, verify_family
-from .csr import is_csr, rank_compress
+from .csr import is_csr, rank_compress, structure_matrix
 from .ensemble import Ensemble, EnsembleError, build_ensemble
 from .semiring import DivergenceError, MaxPlusMatrix, ShapeError, mp_power
 from .trellis import Word, first_passage_weights
@@ -229,11 +229,10 @@ def _cmd_csr_check(args) -> int:
     }
     _emit(args, payload)
     if args.emit_factors:
+        s = structure_matrix(ens.size, sorted(ens.critical.critical_edges))
         factor_payload = {
             "c_prime": factors.c_prime.to_json(),
-            "s_power": mp_power(
-                check.terms.s_global, check.terms.k % check.terms.gamma
-            ).to_json(),
+            "s_power": mp_power(s, check.terms.k % check.terms.gamma).to_json(),
             "r_prime": factors.r_prime.to_json(),
             "rank_bound": factors.rank_bound,
             "representatives": [list(r) for r in factors.representatives],

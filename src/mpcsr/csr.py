@@ -11,18 +11,23 @@ therefore the maximum of G's columns over the class class(d) - v, and row c
 of R the maximum of G's rows over the class class(c) + v.  C, R, the CSR
 product and its rank-compressed factors all follow from these class maxima
 by index shifts; no power of S is formed.
+
+``is_csr`` decides whether G equals its CSR form with ``trellis.csr_mismatch``,
+the test the word fold runs for the CSR onset, so one routine serves both.
+The CSR matrix itself, ``CsrCheck.csr``, is built on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .bounds import wielandt
 from .digraph import CriticalStructure
 from .ensemble import Ensemble
-from .semiring import MaxPlusMatrix, Scalar, first_difference, matrices_equal, mp_multiply
-from .trellis import ClassMaxima, Word, class_maxima, gamma_product
+from .semiring import MaxPlusMatrix, Scalar, matrices_equal, mp_multiply
+from .trellis import ClassMaxima, Word, class_maxima, csr_mismatch, gamma_product
 
 
 def _eps_grid(n: int) -> list[list[Scalar]]:
@@ -82,7 +87,7 @@ def _component_thresholds(ensemble: Ensemble) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CsrTerms:
-    """All ingredients of the CSR form of one word product."""
+    """The class maxima of one word product and the exponents of its CSR form."""
 
     word: Word
     k: int
@@ -94,17 +99,14 @@ class CsrTerms:
     thresholds_nu: tuple[int, ...]
     t_exponent: int
     v_exponent: int
-    s_global: MaxPlusMatrix
-    c_global: MaxPlusMatrix
-    r_global: MaxPlusMatrix
     class_maxima: tuple[ClassMaxima, ...]
 
 
 def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
-    """Build C, S and R and the class maxima they come from for a word."""
+    """The class maxima of a word's product, from which C, R and the CSR
+    form follow, with the exponents t and v."""
     product = gamma_product(ensemble, word)
     crit = ensemble.critical
-    n = ensemble.size
     k = len(word)
     gamma = crit.global_cyclicity
 
@@ -113,17 +115,6 @@ def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
     threshold = max(thresholds_nu, default=1)
     t = max(1, -(-threshold // gamma))
     v = (t + 1) * gamma - (k % gamma)
-
-    maxima = tuple(class_maxima(product.data, comp) for comp in crit.components)
-    c_grid = _eps_grid(n)
-    r_grid = _eps_grid(n)
-    for cm in maxima:
-        g = cm.component.cyclicity
-        for node, cls in cm.component.class_of.items():
-            # (S^v)_cd = 0 exactly when class(d) - class(c) = v modulo g.
-            for row, value in zip(c_grid, cm.columns[(cls - v) % g]):
-                row[node] = value
-            r_grid[node] = cm.rows[(cls + v) % g]
 
     return CsrTerms(
         word=word,
@@ -136,10 +127,7 @@ def csr_terms(ensemble: Ensemble, word: Word) -> CsrTerms:
         thresholds_nu=thresholds_nu,
         t_exponent=t,
         v_exponent=v,
-        s_global=structure_matrix(n, sorted(crit.critical_edges)),
-        c_global=_matrix(c_grid),
-        r_global=_matrix(r_grid),
-        class_maxima=maxima,
+        class_maxima=tuple(class_maxima(product.data, comp) for comp in crit.components),
     )
 
 
@@ -188,8 +176,12 @@ class CsrCheck:
     product_value: Scalar
     csr_value: Scalar
     product: MaxPlusMatrix
-    csr: MaxPlusMatrix
     terms: CsrTerms
+
+    @cached_property
+    def csr(self) -> MaxPlusMatrix:
+        """The CSR form C (*) S^(k mod gamma) (*) R, built on first read."""
+        return csr_product(self.terms)
 
 
 def is_csr(ensemble: Ensemble, word: Word) -> CsrCheck:
@@ -199,14 +191,13 @@ def is_csr(ensemble: Ensemble, word: Word) -> CsrCheck:
     position, reported with both values.
     """
     terms = csr_terms(ensemble, word)
-    approx = csr_product(terms)
-    pos = first_difference(terms.product, approx)
-    if pos is None:
-        return CsrCheck(True, None, None, None, terms.product, approx, terms)
-    i, j = pos
-    return CsrCheck(
-        False, pos, terms.product.data[i][j], approx.data[i][j], terms.product, approx, terms
-    )
+    product = terms.product
+    classes = [cm.component.classes() for cm in terms.class_maxima]
+    mismatch, _ = csr_mismatch(product.data, classes, terms.k)
+    if mismatch is None:
+        return CsrCheck(True, None, None, None, product, terms)
+    i, j, csr_value = mismatch
+    return CsrCheck(False, (i, j), product.data[i][j], csr_value, product, terms)
 
 
 @dataclass(frozen=True)

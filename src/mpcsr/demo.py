@@ -20,7 +20,7 @@ from typing import Optional
 
 from .bounds import ambient_csr_bound
 from .counterexamples import FAMILY_IDS, build_family, verify_family
-from .csr import csr_terms, is_csr, rank_compress
+from .csr import is_csr, rank_compress
 from .ensemble import Ensemble, build_ensemble, path_weights
 from .semiring import MaxPlusMatrix, matrices_equal
 from .trellis import Word
@@ -252,7 +252,7 @@ def reproduction_checks() -> list[CheckItem]:
     add("word_product", matrices_equal(check.product, EXPECTED_PRODUCT))
     add("csr_equality", check.equal)
 
-    factors = rank_compress(csr_terms(ens, WORD))
+    factors = rank_compress(check.terms)
     cols_ok = all(
         tuple(factors.c_prime.data[i][c] for i in range(8)) == col
         for c, col in EXPECTED_C_PRIME_COLS.items()

@@ -364,12 +364,3 @@ def metric_matrix(a: MaxPlusMatrix) -> MaxPlusMatrix:
 
 def matrices_equal(a: MaxPlusMatrix, b: MaxPlusMatrix) -> bool:
     return (a.rows, a.cols) == (b.rows, b.cols) and a.data == b.data
-
-
-def first_difference(a: MaxPlusMatrix, b: MaxPlusMatrix) -> Optional[tuple[int, int]]:
-    """Lexicographically first position where the two matrices differ."""
-    for i in range(a.rows):
-        for j in range(a.cols):
-            if a.data[i][j] != b.data[i][j]:
-                return (i, j)
-    return None

@@ -41,12 +41,15 @@ associativity of the exact product.  The fold tests the prefix at l = 8
 and then at lengths that grow by a quarter, l + l // 4: 8, 10, 12, 15,
 18, 22, ... (never at the last letter).  A word that never reaches its
 onset still pays only O(log k) tests, and a prefix past its onset waits at
-most a quarter of its length for the next test.  A test builds R' first
-and then C' row by row, and stops at the first row that differs, so a
-failing test costs a few rows.  The fold carries the r rows of R' from
-the first l that passes, and expands C' (*) R' once at the end.  Without
-a critical class, or when no test passes, the plain fold runs letter by
-letter.  Either way the product is the one the plain fold gives.
+most a quarter of its length for the next test.  A test
+(``csr_mismatch``) builds R' first and then C' row by row, and stops at
+the first row that differs, so a failing test costs a few rows.
+``csr.is_csr`` runs the same test on a finished product: it is the one
+place that compares a product with its CSR form.  The fold carries the r
+rows of R' from the first l that passes, and expands C' (*) R' once at
+the end.  Without a critical class, or when no test passes, the plain
+fold runs letter by letter.  Either way the product is the one the plain
+fold gives.
 
 Both folds read the row-adjacency lists (``finite_rows``) of every
 generator and of its transpose, built once per ensemble and kept on it.
@@ -197,11 +200,15 @@ def class_maxima(data: Sequence[Sequence[Scalar]], comp: CriticalComponent) -> C
     )
 
 
-def _csr_onset(
+def csr_mismatch(
     state: Sequence[Sequence[Scalar]], classes: Sequence[Sequence[Sequence[int]]], k: int
-) -> Optional[tuple[list, list]]:
-    """C' by rows (r entries each) and the r rows of R' when ``state``, a
-    product of length k, equals C' (*) R' entry for entry; else None.
+) -> tuple[Optional[tuple[int, int, Scalar]], Optional[tuple[list, list]]]:
+    """Whether ``state``, a product of length k, equals C' (*) R' entry for entry.
+
+    Returns (None, (C' by rows of r entries, the r rows of R')) when it
+    does.  Otherwise returns the lexicographically first differing entry
+    as (i, j, value of C' (*) R' there), and None.  ``state`` may hold its
+    rows as lists or tuples.
 
     ``classes`` holds every critical component's class member lists.  The
     factor of class l takes its row of R' from class l and its column of C'
@@ -218,7 +225,7 @@ def _csr_onset(
     right_rows = [[(j, y) for j, y in enumerate(row) if y is not None] for row in right]
     n = len(state)
     left = []
-    for state_row in state:
+    for i, state_row in enumerate(state):
         c_row = [_entry_max(state_row, members) for members in column_classes]
         expected: list[Scalar] = [None] * n
         for c, r_row in zip(c_row, right_rows):
@@ -229,10 +236,11 @@ def _csr_onset(
                 best = expected[j]
                 if best is None or s > best:
                     expected[j] = s
-        if expected != state_row:
-            return None
+        if expected != list(state_row):
+            j = next(j for j, (x, y) in enumerate(zip(state_row, expected)) if x != y)
+            return (i, j, expected[j]), None
         left.append(c_row)
-    return left, right
+    return None, (left, right)
 
 
 def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
@@ -241,7 +249,7 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
     The word is folded left to right over plain row lists with
     ``row_product``, which is what ``mp_multiply`` does letter by letter.
     The fold tests prefix lengths 8, 10, 12, 15, ... for the CSR onset
-    (``_csr_onset``) and, from the first one that passes, carries the r
+    (``csr_mismatch``) and, from the first one that passes, carries the r
     rows of R' instead of n rows (see the module docstring); the product is
     the same.  The last word and its
     product are kept on the ensemble; an equal word (by its letters) gets
@@ -262,7 +270,7 @@ def gamma_product(ensemble: Ensemble, word: Word) -> MaxPlusMatrix:
         adjacency = rows_of[letter - 1]
         result = [row_product(row, adjacency, n) for row in result]
         if length == check_at < k:
-            onset = _csr_onset(result, classes, length)
+            _, onset = csr_mismatch(result, classes, length)
             check_at = k if onset else length + length // 4
             if onset:
                 left, result = onset

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -610,6 +611,11 @@ def mirrored_first_passage_data(
     over the noncritical nodes.  Returns (w_star, w_lengths, v_star,
     v_lengths); lengths are None where the critical set is unreachable
     within the word.
+
+    The DP runs on integers: every generator entry is multiplied by the
+    least common multiple of the entry denominators, and w* and v* are
+    divided back by it.  Max-plus is positively homogeneous, so the optimal
+    walks, their lengths and their ties are those of the unscaled data.
     """
     word.validate(ensemble)
     n = ensemble.size
@@ -617,7 +623,12 @@ def mirrored_first_passage_data(
     crit = ensemble.critical_nodes
     noncrit = [i for i in range(n) if i not in crit]
     allowed = [i not in crit for i in range(n)]
-    gens = ensemble.normalized
+    entries = [v for g in ensemble.normalized for row in g.data for v in row if v is not None]
+    scale = math.lcm(*(v.denominator for v in entries))
+    grids = [
+        [[None if v is None else v.numerator * (scale // v.denominator) for v in row] for row in g.data]
+        for g in ensemble.normalized
+    ]
 
     w_star: list[Scalar] = [0 if i in crit else None for i in range(n)]
     w_len: list[Optional[int]] = [0 if i in crit else None for i in range(n)]
@@ -627,7 +638,7 @@ def mirrored_first_passage_data(
     ]
     crit_sorted = sorted(crit)
     for step, letter in enumerate(word.letters, start=1):
-        a = gens[letter - 1].data
+        a = grids[letter - 1]
         for i in noncrit:
             row = reach[i]
             for x in noncrit:
@@ -653,7 +664,7 @@ def mirrored_first_passage_data(
         [0 if (y == j and allowed[y]) else None for j in range(n)] for y in range(n)
     ]
     for offset, letter in enumerate(reversed(word.letters), start=1):
-        a = gens[letter - 1].data
+        a = grids[letter - 1]
         for j in noncrit:
             for c in crit_sorted:
                 ac = a[c]
@@ -671,7 +682,12 @@ def mirrored_first_passage_data(
         if offset < k:
             back = _advance_back(back, a, noncrit, n)
 
-    return tuple(w_star), tuple(w_len), tuple(v_star), tuple(v_len)
+    def unscale(values):
+        if scale == 1:
+            return tuple(values)
+        return tuple(None if x is None else Fraction(x, scale) for x in values)
+
+    return unscale(w_star), tuple(w_len), unscale(v_star), tuple(v_len)
 
 
 def _advance(reach: list[list[Scalar]], a, noncrit: list[int], n: int) -> list[list[Scalar]]:

@@ -10,6 +10,10 @@ import pytest
 
 from mpcsr import demo
 from mpcsr.cli import main, render_json
+from mpcsr.semiring import MaxPlusMatrix
+from mpcsr.trellis import Word
+
+from oracles import dense_power, s_power_csr_terms, s_power_rank_factors, structure
 
 
 @pytest.fixture()
@@ -290,6 +294,26 @@ def test_csr_check_success_and_factors(capsys, demo_file, tmp_path):
     # The emitted middle factor degenerates to diag(0) at this length.
     s_power = factors["s_power"]["entries"]
     assert all(s_power[i][i] == 0 for i in range(8))
+
+
+def test_csr_check_factors_at_odd_length(capsys, demo_file, tmp_path):
+    # k = 25 and gamma = 2: the emitted middle factor is S itself.
+    word = Word(demo.WORD.letters + (1,))
+    factors_path = tmp_path / "factors.json"
+    code, out, _ = run(
+        capsys, "csr-check", demo_file, "--word", ",".join(map(str, word.letters)),
+        "--emit-factors", str(factors_path),
+    )
+    assert code == 0
+    assert json.loads(out)["equal"] is True
+    factors = json.loads(factors_path.read_text())
+    ens = demo.ensemble()
+    s = structure(8, sorted(ens.critical.critical_edges))
+    assert MaxPlusMatrix.from_json(factors["s_power"]) == dense_power(s, 1)
+    assert MaxPlusMatrix.from_json(factors["s_power"]) != dense_power(s, 0)
+    c_prime, r_prime, _ = s_power_rank_factors(s_power_csr_terms(ens, word))
+    assert MaxPlusMatrix.from_json(factors["c_prime"]) == c_prime
+    assert MaxPlusMatrix.from_json(factors["r_prime"]) == r_prime
 
 
 def test_csr_check_failure_exits_one(capsys, tmp_path):

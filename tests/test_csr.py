@@ -82,6 +82,44 @@ def test_component_thresholds_computed_once_per_ensemble(monkeypatch):
         assert len(calls) == ens.critical.component_count == components
 
 
+def test_check_on_a_memo_hit_builds_the_csr_product_only_when_read(monkeypatch):
+    # is_csr and rank_compress read the memoised product and its class
+    # maxima; only the first read of CsrCheck.csr multiplies.
+    import mpcsr.csr
+    import mpcsr.semiring
+    import mpcsr.trellis
+
+    counts = {"mp_multiply": 0, "row_product": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(mpcsr.csr, "mp_multiply")
+    counting(mpcsr.semiring, "row_product")
+    counting(mpcsr.trellis, "row_product")
+    fam = build_family("P2_six")
+    for ens, word, equal in (
+        (demo.ensemble(), demo.WORD, True),
+        (fam.ensemble(), Word((1,) * 40 + (2,)), False),
+    ):
+        is_csr(ens, word)  # fills the product memo and the component thresholds
+        counts.update(mp_multiply=0, row_product=0)
+        check = is_csr(ens, word)
+        rank_compress(check.terms)
+        assert check.equal is equal
+        assert counts == {"mp_multiply": 0, "row_product": 0}
+        csr = check.csr
+        assert counts["mp_multiply"] == 1
+        assert check.csr is csr
+        assert counts["mp_multiply"] == 1
+
+
 def test_threshold_rejects_wrong_period():
     s = structure_matrix(3, [(0, 1), (1, 2), (2, 0)])
     with pytest.raises(ValueError):
@@ -95,7 +133,7 @@ def test_demo_terms_have_duplicate_class_columns():
     from mpcsr import demo
 
     ens = demo.ensemble()
-    terms = csr_terms(ens, demo.WORD)
+    terms = s_power_csr_terms(ens, demo.WORD)
     assert terms.gamma == 2
     assert terms.k % terms.gamma == 0  # the middle factor degenerates to diag(0)
     c = terms.c_global
@@ -128,7 +166,7 @@ def test_single_loop_terms_extract_critical_column():
     ens = build_ensemble([a])
     assert ens.critical.global_cyclicity == 1
     word = Word((1, 1, 1))
-    terms = csr_terms(ens, word)
+    terms = s_power_csr_terms(ens, word)
     crit = sorted(ens.critical_nodes)
     assert crit == [0]
     for i in range(3):
@@ -167,8 +205,8 @@ def test_csr_product_stable_under_larger_exponent():
     from mpcsr import demo
 
     ens = demo.ensemble()
-    terms = csr_terms(ens, demo.WORD)
-    base = csr_product(terms)
+    base = csr_product(csr_terms(ens, demo.WORD))
+    terms = s_power_csr_terms(ens, demo.WORD)
     for extra in (1, 2, 3):
         bumped = mp_multiply(
             mp_multiply(
@@ -185,7 +223,7 @@ def test_csr_single_letter_words_match_direct_form():
     for _ in range(25):
         ens = random_visualised_ensemble(rng, n_max=3, lo=-6)
         word = Word((1,))
-        terms = csr_terms(ens, word)
+        terms = s_power_csr_terms(ens, word)
         direct = mp_multiply(
             mp_multiply(terms.product, mp_power(terms.s_global, terms.v_exponent)),
             terms.product,
@@ -273,10 +311,11 @@ def test_rank_oracle_self_check():
 def test_demo_projections_hold():
     from mpcsr import demo
 
-    terms = csr_terms(demo.ensemble(), demo.WORD)
-    report = csr_critical_projections(terms)
+    ens = demo.ensemble()
+    report = csr_critical_projections(csr_terms(ens, demo.WORD))
     assert report.all_ok
     # Spot check one critical column directly.
+    terms = s_power_csr_terms(ens, demo.WORD)
     cs = mp_multiply(terms.c_global, mp_power(terms.s_global, terms.k % terms.gamma))
     full = mp_multiply(cs, terms.r_global)
     for i in range(8):
@@ -342,16 +381,31 @@ def test_class_maxima_match_s_power_referee(case_set):
         ref = s_power_csr_terms(ens, word)
         for field in ("gamma_nu", "threshold", "thresholds_nu", "t_exponent", "v_exponent"):
             assert getattr(terms, field) == getattr(ref, field), field
-        for field in ("product", "s_global", "c_global", "r_global"):
-            assert getattr(terms, field).data == getattr(ref, field).data, field
+        assert terms.product.data == ref.product.data
         # One exponent serves every component: v = -k modulo gamma_nu, past T_nu.
         k, v = terms.k, terms.v_exponent
         for g_nu, t_nu_threshold in zip(terms.gamma_nu, terms.thresholds_nu):
             t_nu = (v + (k % g_nu)) // g_nu - 1
             assert (t_nu + 1) * g_nu - (k % g_nu) == v and t_nu * g_nu >= t_nu_threshold
         csr = csr_product(terms)
-        assert csr.data == s_power_csr_product(ref).data
+        ref_csr = s_power_csr_product(ref)
+        assert csr.data == ref_csr.data
         assert csr.data == s_power_direct_form(ref).data
+        # is_csr reports the first difference between the product and the
+        # referee's CSR product, and builds that CSR product on demand.
+        check = is_csr(ens, word)
+        n = ens.size
+        first = next(
+            ((i, j) for i in range(n) for j in range(n) if ref.product.data[i][j] != ref_csr.data[i][j]),
+            None,
+        )
+        assert (check.equal, check.witness) == (first is None, first)
+        if first is None:
+            assert (check.product_value, check.csr_value) == (None, None)
+        else:
+            i, j = first
+            assert (check.product_value, check.csr_value) == (ref.product.data[i][j], ref_csr.data[i][j])
+        assert check.csr == ref_csr
         factors = rank_compress(terms)
         c_prime, r_prime, representatives = s_power_rank_factors(ref)
         assert factors.c_prime.data == c_prime.data

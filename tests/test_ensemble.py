@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpcsr.counterexamples import build_family
-from mpcsr.csr import is_csr
+from mpcsr.csr import is_csr, structure_matrix
 from mpcsr.digraph import critical_graph, max_cycle_mean, zero_critical_graph, zero_cycle_edges
 from mpcsr.ensemble import EnsembleError, _critical, build_ensemble, path_weights, u_k
 from mpcsr.semiring import MaxPlusMatrix, _star, matrices_equal, mp_power
 from mpcsr.trellis import first_passage_data, gamma_product
 
-from oracles import bench_module, bitwise, random_word, star_route_build_ensemble
+from oracles import bench_module, bitwise, random_word, s_power_csr_terms, star_route_build_ensemble
 
 E = None
 
@@ -450,8 +450,9 @@ def test_integer_data_stay_on_int(label, ens):
         w_star, _, v_star, _ = first_passage_data(ens, word)
         values += _finite(w_star + v_star)
     check = is_csr(ens, word)
-    terms = check.terms
-    mats += [check.csr, terms.c_global, terms.r_global, terms.s_global, mp_power(terms.s_global, 0)]
+    ref = s_power_csr_terms(ens, word)
+    s = structure_matrix(ens.size, sorted(ens.critical.critical_edges))
+    mats += [check.csr, ref.c_global, ref.r_global, ref.s_global, mp_power(s, 0)]
     values += _finite(pw.alpha + pw.beta + pw.w_inf + pw.v_inf + ens.visualisation_vector)
     mats.append(pw.gamma_avoid)
     values += [v for m in mats for row in m.data for v in _finite(row)]

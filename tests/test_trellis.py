@@ -301,14 +301,14 @@ def _read_off_cases(case_set):
 @pytest.mark.parametrize("case_set", ["demo", "families", "gen_p0"])
 def test_first_passage_read_off_matches_both_dps(monkeypatch, case_set):
     onsets = []
-    original_onset = trellis._csr_onset
+    original_test = trellis.csr_mismatch
 
     def recording(*args):
-        onset = original_onset(*args)
-        onsets.append(onset is not None)
-        return onset
+        result = original_test(*args)
+        onsets.append(result[1] is not None)
+        return result
 
-    monkeypatch.setattr(trellis, "_csr_onset", recording)
+    monkeypatch.setattr(trellis, "csr_mismatch", recording)
     dp_calls = _count_calls(monkeypatch, "first_passage_data")
     cases = 0
     for ens, word in _read_off_cases(case_set):
@@ -587,6 +587,27 @@ def test_factored_fold_carries_one_row_per_critical_class(monkeypatch):
         assert product == is_csr(ens, word).csr
 
 
+def test_csr_test_takes_tuple_or_list_rows():
+    # The fold hands csr_mismatch list rows and is_csr the tuple rows of
+    # MaxPlusMatrix.data; both must get the same verdict and witness.
+    ens = demo.ensemble()
+    classes = [comp.classes() for comp in ens.critical.components]
+    product = gamma_product(ens, demo.WORD)
+    mismatch, factors = trellis.csr_mismatch(product.data, classes, len(demo.WORD))
+    assert mismatch is None and factors is not None
+    lists = [list(row) for row in product.data]
+    assert trellis.csr_mismatch(lists, classes, len(demo.WORD)) == (None, factors)
+
+    fam = build_family("P2_six")
+    ens = fam.ensemble()
+    classes = [comp.classes() for comp in ens.critical.components]
+    word = Word((1,) * 40 + (2,))
+    product = gamma_product(ens, word)
+    lists = [list(row) for row in product.data]
+    result = trellis.csr_mismatch(product.data, classes, len(word))
+    assert result == trellis.csr_mismatch(lists, classes, len(word)) == ((0, 4, -202), None)
+
+
 # -- cost of the onset schedule and of one checked word ----------------------------
 
 
@@ -594,13 +615,13 @@ def test_onset_tests_grow_by_a_quarter(monkeypatch):
     # Test lengths 8, 10, 12, 15, 18, 22, ...: a word that never reaches its
     # onset pays at most 1 + ceil(log_{5/4}(k / 8)) tests.
     lengths = []
-    original = trellis._csr_onset
+    original = trellis.csr_mismatch
 
     def recording(state, classes, k):
         lengths.append(k)
         return original(state, classes, k)
 
-    monkeypatch.setattr(trellis, "_csr_onset", recording)
+    monkeypatch.setattr(trellis, "csr_mismatch", recording)
     schedule = [8]
     while schedule[-1] < 200:
         schedule.append(schedule[-1] + schedule[-1] // 4)
